@@ -4,9 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvm_llc::circuit::reference;
-use nvm_llc::sim::{
-    simulate_hybrid, ArchConfig, HybridConfig, LlcWritePolicy, Replacement, System,
-};
+use nvm_llc::sim::{simulate_hybrid, ArchConfig, HybridConfig, LlcWritePolicy, PolicyKind, System};
 use nvm_llc::trace::workloads;
 use nvm_llc_bench::print_artifact;
 
@@ -57,8 +55,8 @@ fn bench(c: &mut Criterion) {
         body.push_str(&format!(
             "{:<8} LRU {:>8.2}  random {:>8.2}\n",
             name,
-            mpki(Replacement::Lru),
-            mpki(Replacement::Random)
+            mpki(PolicyKind::Lru),
+            mpki(PolicyKind::Random)
         ));
     }
     print_artifact("Ablation — replacement policy", &body);

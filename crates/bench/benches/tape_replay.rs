@@ -33,9 +33,9 @@ fn bench(c: &mut Criterion) {
     group.bench_function("fused_direct_run", |b| {
         b.iter(|| std::hint::black_box(system.run(&trace)))
     });
-    // The tentpole micro-comparison: all 11 fixed-capacity technologies
-    // replaying the one tape, per-technology (11 decodes) vs batched
-    // (one `DecodedTape`, 11 engines in lockstep).
+    // The batching micro-comparison: all 11 fixed-capacity technologies
+    // replaying the one tape, per technology (11 passes over the lanes)
+    // vs batched (one pass driving 11 engines).
     let family: Vec<System> = models
         .iter()
         .map(|m| System::new(ArchConfig::gainestown(m.clone())).with_warmup(0.25))
@@ -56,7 +56,9 @@ fn bench(c: &mut Criterion) {
     // The matrix the split targets: every fixed-capacity technology
     // shares one LLC geometry, so a warm tape cache turns 11 functional
     // passes per workload into 1. `direct` re-simulates each cell the
-    // pre-split way; `warm_tape` measures `run_all` with tapes recorded.
+    // pre-split way; `warm_tape` replays each cell on its own from the
+    // warm tape cache (`System::run_cached`); `warm_batched` measures
+    // `run_all` with tapes recorded.
     let ws = workloads::single_threaded();
     let eval = |techs: usize| {
         let baseline = reference::by_name(&models, "SRAM").unwrap();
@@ -107,9 +109,28 @@ fn bench(c: &mut Criterion) {
             })
         });
         group.bench_function(format!("warm_tape_{techs}_techs"), |b| {
-            let e = eval(techs).batched(false);
-            let _ = e.run_all(&ws); // record every tape once
-            b.iter(|| std::hint::black_box(e.run_all(&ws)))
+            let cells: Vec<System> = std::iter::once(reference::by_name(&models, "SRAM").unwrap())
+                .chain(
+                    models
+                        .iter()
+                        .filter(|m| m.name != "SRAM")
+                        .take(techs - 1)
+                        .cloned(),
+                )
+                .map(|model| System::new(ArchConfig::gainestown(model)).with_warmup(0.25))
+                .collect();
+            let _ = eval(techs).run_all(&ws); // record every tape once
+            b.iter(|| {
+                for w in &ws {
+                    let trace = w.generate_shared(
+                        Scale::SMOKE.seed,
+                        w.scaled_accesses(Scale::SMOKE.base_accesses),
+                    );
+                    for cell in &cells {
+                        std::hint::black_box(cell.run_cached(&trace));
+                    }
+                }
+            })
         });
         group.bench_function(format!("warm_batched_{techs}_techs"), |b| {
             let e = eval(techs);

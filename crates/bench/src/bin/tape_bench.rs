@@ -8,19 +8,21 @@
 //!   `System::replay` (timing pass), and the fused `System::run`;
 //! * the fixed-capacity matrix (11 technologies sharing one 2 MB LLC
 //!   geometry) four ways: all-direct (pre-split behavior, one fused
-//!   run per cell), cold tape (record once per workload + replay), warm
-//!   per-technology replay (PR 2's path, 11 separate tape decodes per
-//!   workload), and warm batched replay (one `DecodedTape` driving all
-//!   11 timing engines in lockstep).
+//!   run per cell), cold tape (record once per workload + batched
+//!   replay), warm per-cell replay (`System::run_cached` cell by cell:
+//!   a tape-cache hit plus `System::replay` of one technology), and
+//!   warm batched replay (`run_all`: one pass over each tape's lanes
+//!   drives all 11 timing engines).
 //!
-//! Acceptance bars: `warm_speedup_vs_direct >= 3` (the split),
-//! `batched_speedup_vs_per_tech >= 2` (the SoA chunk kernels; CI's
-//! bench-smoke job holds a tighter 4.4x floor on the same number),
-//! `obs_overhead_pct <= 3` (spans and counters stay out of the hot
-//! path; a median across interleaved rounds so 1-CPU scheduler blips
-//! don't flake it), and `writebacks_endurance < writebacks_lru` (the
-//! endurance-aware replacement policy's measured writeback cut); CI
-//! fails the bench-smoke job outside any of them.
+//! Acceptance bars: `warm_speedup_vs_direct >= 3` (the split: warm
+//! per-cell replay against fused per-cell runs),
+//! `batched_speedup_vs_per_tech >= 2` (warm batched `run_all` against
+//! warm per-cell replay; CI's bench-smoke job holds a tighter floor on
+//! the same number), `obs_overhead_pct <= 3` (spans and counters stay
+//! out of the hot path; a median across interleaved rounds so 1-CPU
+//! scheduler blips don't flake it), and `writebacks_endurance <
+//! writebacks_lru` (the endurance-aware replacement policy's measured
+//! writeback cut); CI fails the bench-smoke job outside any of them.
 
 use std::time::Instant;
 
@@ -89,23 +91,23 @@ fn main() {
     });
 
     let (policy_sram, policy_nvms) = (sram.clone(), nvms.clone());
-    let evaluator = Evaluator::new(sram.clone(), nvms.clone())
+    let evaluator = Evaluator::new(sram, nvms)
         .base_accesses(BASE_ACCESSES)
         .seed(SEED)
         .threads(1);
-    let per_tech = Evaluator::new(sram, nvms)
-        .base_accesses(BASE_ACCESSES)
-        .seed(SEED)
-        .threads(1)
-        .batched(false);
+    // One system per matrix column, configured as `run_all` configures
+    // its cells, so the per-cell leg hits the same cached tapes.
+    let cells: Vec<System> = models
+        .iter()
+        .map(|model| {
+            System::new(ArchConfig::gainestown(model.clone()))
+                .with_warmup(nvm_llc::sim::runner::DEFAULT_WARMUP)
+        })
+        .collect();
 
-    // Span-backed phase attribution: the decode and chunk-kernel spans
-    // accumulate into the obs histograms; deltas around a timed section
-    // attribute its wall time to SoA decode vs. chunked replay.
-    let decode_span = nvm_llc::obs::metrics::histogram(
-        "nvmllc_tape_decode_seconds",
-        "Wall time of the `tape_decode` span.",
-    );
+    // Span-backed phase attribution: the chunk-kernel span accumulates
+    // into its obs histogram; the delta around a timed section is the
+    // wall time spent inside the replay kernels.
     let chunk_span = nvm_llc::obs::metrics::histogram(
         "nvmllc_tape_replay_chunk_seconds",
         "Wall time of one batched-replay event chunk.",
@@ -113,25 +115,24 @@ fn main() {
 
     // Cold: the cache is emptied first, so each iteration pays one
     // functional pass per workload plus the batched replay.
-    let decode_s_before = decode_span.sum();
     let cold_ms = best_of(REPEATS, || {
         nvm_llc::sim::tape::cache::clear();
         std::hint::black_box(evaluator.run_all(&ws));
     });
-    // Every cold iteration re-records and re-decodes each workload's
-    // tape, so the decode span accumulated REPEATS matrices' worth.
-    let decode_ms = (decode_span.sum() - decode_s_before) * 1e3 / REPEATS as f64;
 
-    // Warm, per-technology (PR 2's reference path): every geometry's
-    // tape is already recorded; each of the 11 cells decodes the packed
-    // tape on its own.
-    let _ = per_tech.run_all(&ws);
+    // Warm, per cell: every geometry's tape is already recorded (the
+    // cold loop left it cached); each of the 11 cells fetches it and
+    // replays its one technology with `System::replay`.
     let warm_ms = best_of(REPEATS, || {
-        std::hint::black_box(per_tech.run_all(&ws));
+        for trace in &traces {
+            for cell in &cells {
+                std::hint::black_box(cell.run_cached(trace));
+            }
+        }
     });
 
-    // Warm, batched: one decode per workload drives all 11 timing
-    // engines chunk by chunk over the struct-of-arrays `DecodedTape`.
+    // Warm, batched: one pass over each workload's tape lanes drives
+    // all 11 timing engines chunk by chunk.
     let chunk_s_before = chunk_span.sum();
     let batched_ms = best_of(REPEATS, || {
         std::hint::black_box(evaluator.run_all(&ws));
@@ -201,7 +202,7 @@ fn main() {
     let batched_speedup = warm_ms / batched_ms;
 
     let json = format!(
-        "{{\n  \"bench\": \"tape_replay\",\n  \"config\": {{\n    \"workloads\": {},\n    \"technologies\": {},\n    \"base_accesses\": {},\n    \"threads\": 1,\n    \"repeats\": {},\n    \"chunk_events\": {}\n  }},\n  \"phase_ms\": {{\n    \"record_functional\": {:.3},\n    \"replay_timing\": {:.3},\n    \"fused_run\": {:.3},\n    \"decode_ms\": {:.3},\n    \"replay_speedup_vs_fused\": {:.2}\n  }},\n  \"matrix_ms\": {{\n    \"all_direct\": {:.3},\n    \"cold_tape\": {:.3},\n    \"warm_tape\": {:.3},\n    \"replay_batched_ms\": {:.3},\n    \"replay_chunked_ms\": {:.3},\n    \"cold_speedup_vs_direct\": {:.2},\n    \"warm_speedup_vs_direct\": {:.2},\n    \"batched_speedup_vs_per_tech\": {:.2}\n  }},\n  \"obs_overhead_pct\": {:.2},\n  \"policy\": {{\n    \"workload\": \"{}\",\n    \"writebacks_lru\": {},\n    \"writebacks_endurance\": {},\n    \"writeback_reduction_pct\": {:.1}\n  }},\n  \"tape_cache\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \"bytes\": {},\n    \"raw_bytes\": {},\n    \"evictions\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"tape_replay\",\n  \"config\": {{\n    \"workloads\": {},\n    \"technologies\": {},\n    \"base_accesses\": {},\n    \"threads\": 1,\n    \"repeats\": {},\n    \"chunk_events\": {}\n  }},\n  \"phase_ms\": {{\n    \"record_functional\": {:.3},\n    \"replay_timing\": {:.3},\n    \"fused_run\": {:.3},\n    \"replay_speedup_vs_fused\": {:.2}\n  }},\n  \"matrix_ms\": {{\n    \"all_direct\": {:.3},\n    \"cold_tape\": {:.3},\n    \"warm_tape\": {:.3},\n    \"replay_batched_ms\": {:.3},\n    \"replay_chunked_ms\": {:.3},\n    \"cold_speedup_vs_direct\": {:.2},\n    \"warm_speedup_vs_direct\": {:.2},\n    \"batched_speedup_vs_per_tech\": {:.2}\n  }},\n  \"obs_overhead_pct\": {:.2},\n  \"policy\": {{\n    \"workload\": \"{}\",\n    \"writebacks_lru\": {},\n    \"writebacks_endurance\": {},\n    \"writeback_reduction_pct\": {:.1}\n  }},\n  \"tape_cache\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \"bytes\": {},\n    \"raw_bytes\": {},\n    \"evictions\": {}\n  }}\n}}\n",
         ws.len(),
         models.len(),
         BASE_ACCESSES,
@@ -210,7 +211,6 @@ fn main() {
         record_ms,
         replay_ms,
         fused_ms,
-        decode_ms,
         replay_speedup,
         direct_ms,
         cold_ms,
@@ -239,14 +239,14 @@ fn main() {
 
     assert!(
         warm_speedup >= 3.0,
-        "warm-tape matrix must be >= 3x faster than the all-direct path \
-         (got {warm_speedup:.2}x)"
+        "warm per-cell replay must be >= 3x faster than the all-direct \
+         path (got {warm_speedup:.2}x)"
     );
     assert!(
         batched_speedup >= 2.0,
-        "the SoA chunk kernels must keep batched replay well ahead of \
-         per-technology replay (got {batched_speedup:.2}x; CI holds a \
-         tighter 4.4x floor)"
+        "warm batched run_all must stay well ahead of per-cell \
+         System::replay (got {batched_speedup:.2}x; CI holds a tighter \
+         floor)"
     );
     // The obs-overhead gate is a hard assert locally but demotes to a
     // warning when NVM_LLC_OBS_OVERHEAD_WARN_ONLY is set: shared 1-CPU

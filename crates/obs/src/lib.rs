@@ -10,9 +10,9 @@
 //!   single line. The whole registry renders to Prometheus text
 //!   exposition ([`metrics::render_prometheus`]) and to a JSON object
 //!   ([`metrics::render_json`]) for `/statsz`-style endpoints.
-//! * [`span`] — lightweight wall-time spans: [`span!`]`("tape_replay")`
+//! * [`span`] — lightweight wall-time spans: [`span!`]`("tape_record")`
 //!   returns a guard whose drop records the elapsed seconds into the
-//!   `nvmllc_tape_replay_seconds` histogram and, when chrome tracing is
+//!   `nvmllc_tape_record_seconds` histogram and, when chrome tracing is
 //!   recording ([`chrome`]), appends a complete event to the trace ring
 //!   buffer. Guards are independent — dropping them out of order is
 //!   harmless by construction.
@@ -72,11 +72,11 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Opens a wall-time span: `let _span = obs::span!("tape_replay");`
+/// Opens a wall-time span: `let _span = obs::span!("tape_record");`
 ///
 /// The literal name is interpolated into the metric
 /// `nvmllc_<name>_seconds`, so span names carry their subsystem prefix
-/// (`tape_replay`, `serve_request`, …). The guard records on drop;
+/// (`tape_record`, `serve_request`, …). The guard records on drop;
 /// binding it to `_` drops immediately and times nothing.
 #[macro_export]
 macro_rules! span {

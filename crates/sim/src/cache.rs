@@ -1,11 +1,6 @@
 //! Set-associative cache arrays with pluggable replacement.
 
-use crate::policy::{PolicyState, ReplacementPolicy};
-
-/// Replacement policy selector for a cache array — re-exported from
-/// [`crate::policy`] under its historical name (the original subsystem
-/// only knew LRU and random).
-pub use crate::policy::PolicyKind as Replacement;
+use crate::policy::{PolicyKind, PolicyState, ReplacementPolicy};
 
 /// A line displaced by an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,9 +63,9 @@ pub struct Line {
 /// # Examples
 ///
 /// ```
-/// use nvm_llc_sim::cache::{Replacement, SetAssocCache};
+/// use nvm_llc_sim::{PolicyKind, SetAssocCache};
 ///
-/// let mut l1 = SetAssocCache::new(64, 2, Replacement::Lru);
+/// let mut l1 = SetAssocCache::new(64, 2, PolicyKind::Lru);
 /// assert!(!l1.access(0x10, false).hit); // cold miss
 /// assert!(l1.access(0x10, false).hit);  // now resident
 /// ```
@@ -101,7 +96,7 @@ impl SetAssocCache {
     ///
     /// Panics unless `num_sets` is a power of two and `ways ≥ 1` —
     /// configurations come from validated [`crate::config`] values.
-    pub fn new(num_sets: u64, ways: u32, replacement: Replacement) -> Self {
+    pub fn new(num_sets: u64, ways: u32, replacement: PolicyKind) -> Self {
         assert!(num_sets.is_power_of_two(), "sets must be a power of two");
         assert!(ways >= 1, "needs at least one way");
         SetAssocCache {
@@ -117,7 +112,7 @@ impl SetAssocCache {
     }
 
     /// The replacement policy this array dispatches through.
-    pub fn replacement(&self) -> Replacement {
+    pub fn replacement(&self) -> PolicyKind {
         self.policy.kind()
     }
 
@@ -126,7 +121,7 @@ impl SetAssocCache {
         capacity_bytes: u64,
         associativity: u32,
         block_bytes: u32,
-        replacement: Replacement,
+        replacement: PolicyKind,
     ) -> Self {
         let sets = (capacity_bytes / (u64::from(block_bytes) * u64::from(associativity))).max(1);
         Self::new(sets.next_power_of_two(), associativity, replacement)
@@ -334,7 +329,7 @@ mod tests {
 
     #[test]
     fn cold_miss_then_hit() {
-        let mut c = SetAssocCache::new(16, 2, Replacement::Lru);
+        let mut c = SetAssocCache::new(16, 2, PolicyKind::Lru);
         assert!(!c.access(5, false).hit);
         assert!(c.access(5, false).hit);
         assert_eq!(c.hits(), 1);
@@ -345,7 +340,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         // 1 set, 2 ways: blocks map to same set when set bits equal.
-        let mut c = SetAssocCache::new(1, 2, Replacement::Lru);
+        let mut c = SetAssocCache::new(1, 2, PolicyKind::Lru);
         c.access(1, false);
         c.access(2, false);
         c.access(1, false); // 2 is now LRU
@@ -357,7 +352,7 @@ mod tests {
 
     #[test]
     fn dirty_eviction_reports_writeback_address() {
-        let mut c = SetAssocCache::new(1, 1, Replacement::Lru);
+        let mut c = SetAssocCache::new(1, 1, PolicyKind::Lru);
         assert_eq!(c.access(7, true).writeback(), None);
         let out = c.access(9, false);
         assert!(!out.hit);
@@ -368,14 +363,14 @@ mod tests {
 
     #[test]
     fn clean_eviction_has_no_writeback() {
-        let mut c = SetAssocCache::new(1, 1, Replacement::Lru);
+        let mut c = SetAssocCache::new(1, 1, PolicyKind::Lru);
         c.access(7, false);
         assert_eq!(c.access(9, false).writeback(), None);
     }
 
     #[test]
     fn write_then_read_keeps_dirty_until_evicted() {
-        let mut c = SetAssocCache::new(1, 1, Replacement::Lru);
+        let mut c = SetAssocCache::new(1, 1, PolicyKind::Lru);
         c.access(7, true);
         c.access(7, false); // read does not clean it
         let out = c.access(9, false);
@@ -386,7 +381,7 @@ mod tests {
 
     #[test]
     fn fill_dirty_does_not_perturb_demand_stats() {
-        let mut c = SetAssocCache::new(16, 2, Replacement::Lru);
+        let mut c = SetAssocCache::new(16, 2, PolicyKind::Lru);
         c.access(1, false);
         let (h, m) = (c.hits(), c.misses());
         let wb = c.fill_dirty(33);
@@ -397,7 +392,7 @@ mod tests {
 
     #[test]
     fn set_index_uses_low_block_bits() {
-        let mut c = SetAssocCache::new(16, 1, Replacement::Lru);
+        let mut c = SetAssocCache::new(16, 1, PolicyKind::Lru);
         c.access(0, false);
         c.access(16, false); // same set (block % 16 == 0), evicts 0
         assert!(!c.contains(0));
@@ -407,7 +402,7 @@ mod tests {
 
     #[test]
     fn random_policy_eventually_evicts_everything() {
-        let mut c = SetAssocCache::new(1, 4, Replacement::Random);
+        let mut c = SetAssocCache::new(1, 4, PolicyKind::Random);
         for b in 0..4 {
             c.access(b, false);
         }
@@ -422,7 +417,7 @@ mod tests {
 
     #[test]
     fn geometry_constructor_matches_table_4_l1() {
-        let c = SetAssocCache::with_geometry(32 * 1024, 8, 64, Replacement::Lru);
+        let c = SetAssocCache::with_geometry(32 * 1024, 8, 64, PolicyKind::Lru);
         // 32 KB / (64 B × 8) = 64 sets.
         assert_eq!(c.num_sets(), 64);
     }
@@ -430,12 +425,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_panics() {
-        let _ = SetAssocCache::new(3, 2, Replacement::Lru);
+        let _ = SetAssocCache::new(3, 2, PolicyKind::Lru);
     }
 
     #[test]
     fn invalidate_drops_lines_and_reports_dirtiness() {
-        let mut c = SetAssocCache::new(4, 2, Replacement::Lru);
+        let mut c = SetAssocCache::new(4, 2, PolicyKind::Lru);
         c.access(1, true);
         c.access(2, false);
         assert_eq!(c.invalidate(1), Some(true));
@@ -447,7 +442,7 @@ mod tests {
 
     #[test]
     fn resident_blocks_reconstruct_addresses() {
-        let mut c = SetAssocCache::new(8, 2, Replacement::Lru);
+        let mut c = SetAssocCache::new(8, 2, PolicyKind::Lru);
         for b in [3u64, 11, 100] {
             c.access(b, false);
         }
@@ -459,7 +454,7 @@ mod tests {
     #[test]
     fn capacity_working_set_fits_exactly() {
         // A working set equal to capacity must fully hit after warmup.
-        let mut c = SetAssocCache::new(8, 2, Replacement::Lru);
+        let mut c = SetAssocCache::new(8, 2, PolicyKind::Lru);
         for round in 0..3 {
             for b in 0..16u64 {
                 let hit = c.access(b, false).hit;
@@ -475,7 +470,7 @@ mod tests {
         // Scripted regression for the flat-array refactor: in a single
         // 4-way set, fills must evict exactly in least-recently-used order,
         // and a touch must rescue a line from its eviction slot.
-        let mut c = SetAssocCache::new(1, 4, Replacement::Lru);
+        let mut c = SetAssocCache::new(1, 4, PolicyKind::Lru);
         for b in [10u64, 20, 30, 40] {
             c.access(b, false);
         }
@@ -512,7 +507,7 @@ mod tests {
                 block in 0u64..(1u64 << 40),
             ) {
                 let (num_sets, ways) = (1u64 << log_sets, WAYS[way_idx]);
-                let c = SetAssocCache::new(num_sets, ways, Replacement::Lru);
+                let c = SetAssocCache::new(num_sets, ways, PolicyKind::Lru);
                 let set = c.set_index(block);
                 let tag = block >> c.set_shift;
                 prop_assert_eq!(set, block % num_sets);
@@ -531,8 +526,8 @@ mod tests {
                 blocks in proptest::collection::vec(0u64..10_000, 1..200),
             ) {
                 let (num_sets, ways) = (1u64 << log_sets, WAYS[way_idx]);
-                let mut a = SetAssocCache::new(num_sets, ways, Replacement::Lru);
-                let mut b = SetAssocCache::new(num_sets, ways, Replacement::Lru);
+                let mut a = SetAssocCache::new(num_sets, ways, PolicyKind::Lru);
+                let mut b = SetAssocCache::new(num_sets, ways, PolicyKind::Lru);
                 for &blk in &blocks {
                     let ra = a.access(blk, blk % 3 == 0);
                     let rb = b.access(blk, blk % 3 == 0);

@@ -17,8 +17,9 @@ use nvm_llc_cell::units::{Joules, Seconds};
 use nvm_llc_circuit::LlcModel;
 use nvm_llc_trace::{AccessKind, Trace};
 
-use crate::cache::{Replacement, SetAssocCache};
+use crate::cache::SetAssocCache;
 use crate::config::ArchConfig;
+use crate::policy::PolicyKind;
 use crate::result::{SimResult, SimStats};
 use crate::system::LLC_HIT_EXPOSURE;
 
@@ -94,13 +95,13 @@ pub fn simulate_hybrid(base: &ArchConfig, hybrid: &HybridConfig, trace: &Trace) 
                     base.l1d.capacity_bytes,
                     base.l1d.associativity,
                     base.l1d.block_bytes,
-                    Replacement::Lru,
+                    PolicyKind::Lru,
                 ),
                 SetAssocCache::with_geometry(
                     base.l2.capacity_bytes,
                     base.l2.associativity,
                     base.l2.block_bytes,
-                    Replacement::Lru,
+                    PolicyKind::Lru,
                 ),
                 0.0f64, // cycles
                 0u64,   // instructions
@@ -110,8 +111,8 @@ pub fn simulate_hybrid(base: &ArchConfig, hybrid: &HybridConfig, trace: &Trace) 
         .collect();
     // Two parallel arrays share the set index space: a block lives in
     // exactly one (enforced below).
-    let mut sram = SetAssocCache::new(sets, sram_ways, Replacement::Lru);
-    let mut nvm = SetAssocCache::new(sets, nvm_ways, Replacement::Lru);
+    let mut sram = SetAssocCache::new(sets, sram_ways, PolicyKind::Lru);
+    let mut nvm = SetAssocCache::new(sets, nvm_ways, PolicyKind::Lru);
 
     let freq = base.freq_ghz;
     let sram_read = (hybrid.sram.tag_latency + hybrid.sram.read_latency).to_cycles(freq) as f64;

@@ -37,7 +37,7 @@ pub mod system;
 pub mod tape;
 pub mod techniques;
 
-pub use cache::{AccessOutcome, Eviction, Replacement, SetAssocCache};
+pub use cache::{AccessOutcome, Eviction, SetAssocCache};
 pub use config::{ArchConfig, CacheLevelConfig, LlcWritePolicy};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use endurance::{EnduranceReport, EnduranceTracker, WearPolicy};
@@ -46,15 +46,14 @@ pub use policy::{PolicyKind, ReplacementPolicy, POLICY_ENV};
 pub use result::{SimResult, SimStats};
 pub use runner::{Evaluator, MatrixEntry, MatrixRow, PolicyMatrix};
 pub use system::System;
-pub use tape::{
-    DecodedEvent, DecodedTape, EventRecord, Outcome, OutcomeTape, TapeKey, REPLAY_CHUNK_EVENTS,
-};
+pub use tape::{Outcome, OutcomeTape, TapeEvent, TapeKey, REPLAY_CHUNK_EVENTS};
 pub use techniques::{DeadBlockPredictor, WriteMode};
 
 #[cfg(test)]
 mod proptests {
-    use crate::cache::{Replacement, SetAssocCache};
+    use crate::cache::SetAssocCache;
     use crate::config::ArchConfig;
+    use crate::policy::PolicyKind;
     use crate::system::System;
     use proptest::prelude::*;
 
@@ -68,7 +67,7 @@ mod proptests {
             blocks in proptest::collection::vec(0u64..4096, 1..400),
             ways in 1u32..8,
         ) {
-            let mut c = SetAssocCache::new(64, ways, Replacement::Lru);
+            let mut c = SetAssocCache::new(64, ways, PolicyKind::Lru);
             for b in &blocks {
                 c.access(*b, b % 3 == 0);
             }
@@ -85,7 +84,7 @@ mod proptests {
             ways in 2u32..16,
             rounds in 2usize..5,
         ) {
-            let mut c = SetAssocCache::new(1, ways, Replacement::Lru);
+            let mut c = SetAssocCache::new(1, ways, PolicyKind::Lru);
             for round in 0..rounds {
                 for b in 0..u64::from(ways) {
                     let hit = c.access(b, false).hit;
@@ -152,7 +151,7 @@ mod proptests {
         /// Every dirty block eventually reports exactly one writeback.
         #[test]
         fn dirty_blocks_write_back_once(n in 1u64..64) {
-            let mut c = SetAssocCache::new(1, 2, Replacement::Lru);
+            let mut c = SetAssocCache::new(1, 2, PolicyKind::Lru);
             let mut writebacks = 0u64;
             for b in 0..n {
                 if c.access(b, true).writeback().is_some() {

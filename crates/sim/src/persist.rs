@@ -22,9 +22,21 @@
 //!    geometry ([`TapeKey::persist_bytes`]) or the full system
 //!    fingerprint (every timing, energy, and policy knob).
 //!
-//! Decoding is strict: version-tagged, length-checked by the store's
-//! record header, and rejected on any trailing or missing bytes, so a
-//! stale or corrupt payload decodes to `None` and the caller recomputes.
+//! Decoding is strict. A payload decodes only when it parses exactly:
+//! version-tagged, length-checked by the store's record header, with no
+//! trailing or missing bytes. A tape must also be consistent the way a
+//! recorded tape is, or replay could index a missing timing lane or run
+//! a side cursor dry:
+//!
+//! * its three event lanes (gap, core, flags) have one length;
+//! * every core index is below the tape's core count;
+//! * each varint side stream holds exactly its declared number of
+//!   well-formed values, ending at the end of its bytes;
+//! * the side counts the event flags imply sum exactly to both side
+//!   streams' lengths.
+//!
+//! Anything else — stale, corrupt, or crafted — decodes to `None` and the
+//! caller recomputes.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -37,7 +49,7 @@ use nvm_llc_trace::Trace;
 use crate::endurance::EnduranceReport;
 use crate::result::{SimResult, SimStats};
 use crate::system::System;
-use crate::tape::{EventRecord, OutcomeTape, PackedBlocks, TapeKey};
+use crate::tape::{OutcomeTape, PackedBlocks, TapeKey};
 
 /// Version of the simulator's observable model baked into every store
 /// key. Bump it whenever a change alters simulation outputs (timing,
@@ -51,7 +63,10 @@ use crate::tape::{EventRecord, OutcomeTape, PackedBlocks, TapeKey};
 ///   policy tag ([`crate::policy::PolicyKind::persist_tag`]) and
 ///   request keys gained a policy axis, so geometry-only keys from
 ///   version 1 must never alias a policy-keyed record.
-pub const MODEL_VERSION: u32 = 2;
+/// * 3 — one tape form: tapes persist as their replay lanes (`u32` gap,
+///   `u8` core and `u8` flag arrays) instead of packed `u64` records, so
+///   a version-2 tape payload must never be read as lanes.
+pub const MODEL_VERSION: u32 = 3;
 
 /// Digests `tag | MODEL_VERSION | payload` into a store key.
 fn derive_key(tag: &str, payload: &[u8]) -> Key {
@@ -232,22 +247,20 @@ fn encode_packed(w: &mut Writer, blocks: &PackedBlocks) {
     w.bytes(bytes).u64(len as u64).u64(last);
 }
 
-fn decode_packed(r: &mut Reader<'_>) -> Result<PackedBlocks, WireError> {
-    let bytes = r.bytes()?.to_vec();
-    let len = usize::try_from(r.u64()?).map_err(|_| WireError)?;
-    let last = r.u64()?;
-    Ok(PackedBlocks::from_parts(bytes, len, last))
+fn decode_packed(r: &mut Reader<'_>) -> Option<PackedBlocks> {
+    let bytes = r.bytes().ok()?.to_vec();
+    let len = usize::try_from(r.u64().ok()?).ok()?;
+    let last = r.u64().ok()?;
+    PackedBlocks::from_parts(bytes, len, last)
 }
 
-/// Encodes an outcome tape for the store: core count, the packed
-/// per-event records, both varint/delta side streams in their encoded
-/// form, and the functional counters.
+/// Encodes an outcome tape for the store: core count, the three event
+/// lanes verbatim (one bulk copy each), both varint/delta side streams
+/// in their encoded form, and the functional counters.
 pub fn encode_tape(tape: &OutcomeTape) -> Vec<u8> {
+    let (gaps, cores, flags) = tape.lanes();
     let mut w = Writer::new();
-    w.u32(tape.cores()).u64(tape.records().len() as u64);
-    for record in tape.records() {
-        w.u64(record.bits());
-    }
+    w.u32(tape.cores()).u32s(gaps).bytes(cores).bytes(flags);
     let (endurance, dram) = tape.packed_streams();
     encode_packed(&mut w, endurance);
     encode_packed(&mut w, dram);
@@ -255,32 +268,24 @@ pub fn encode_tape(tape: &OutcomeTape) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a tape payload, or `None` when it does not parse exactly —
-/// the caller falls back to re-recording the functional pass.
+/// Decodes a tape payload, or `None` when it does not parse exactly or
+/// is inconsistent (see the module docs) — the caller falls back to
+/// re-recording the functional pass.
 pub fn decode_tape(payload: &[u8]) -> Option<OutcomeTape> {
-    fn parse(r: &mut Reader<'_>) -> Result<OutcomeTape, WireError> {
-        let cores = r.u32()?;
-        let n = usize::try_from(r.u64()?).map_err(|_| WireError)?;
-        // Grow as records actually decode: a corrupt length then fails
-        // on its first missing byte instead of pre-allocating for it.
-        let mut records = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            records.push(EventRecord::from_bits(r.u64()?));
-        }
-        let endurance_blocks = decode_packed(r)?;
-        let dram_blocks = decode_packed(r)?;
-        let stats = decode_stats(r)?;
-        Ok(OutcomeTape::from_parts(
-            records,
-            endurance_blocks,
-            dram_blocks,
-            stats,
-            cores,
-        ))
-    }
     let mut r = Reader::new(payload);
-    let tape = parse(&mut r).ok()?;
-    r.is_exhausted().then_some(tape)
+    let cores = r.u32().ok()?;
+    let lanes = (
+        r.u32s().ok()?,
+        r.bytes().ok()?.to_vec(),
+        r.bytes().ok()?.to_vec(),
+    );
+    let endurance_blocks = decode_packed(&mut r)?;
+    let dram_blocks = decode_packed(&mut r)?;
+    let stats = decode_stats(&mut r).ok()?;
+    if !r.is_exhausted() {
+        return None;
+    }
+    OutcomeTape::from_parts(lanes, endurance_blocks, dram_blocks, stats, cores)
 }
 
 fn global() -> &'static Mutex<Option<Arc<Store>>> {
@@ -365,6 +370,7 @@ mod tests {
         assert_eq!(decoded.cores(), tape.cores());
         assert_eq!(decoded.stats(), tape.stats());
         assert_eq!(decoded.len(), tape.len());
+        assert!(decoded.events().eq(tape.events()));
         assert!(decoded.endurance_blocks().eq(tape.endurance_blocks()));
         assert!(decoded.dram_blocks().eq(tape.dram_blocks()));
         // The decisive check: replaying the decoded tape reproduces the
@@ -381,6 +387,80 @@ mod tests {
         padded.push(0);
         assert!(decode_tape(&padded).is_none());
         assert!(decode_tape(&[]).is_none());
+    }
+
+    /// Byte offsets of the core and flag lanes in an encoded tape of `n`
+    /// events: the core count (4), the gap lane's count prefix (8) and
+    /// its `n` `u32`s, then each byte lane's length prefix (8).
+    fn lane_offsets(n: usize) -> (usize, usize) {
+        let cores_at = 4 + 8 + 4 * n + 8;
+        (cores_at, cores_at + n + 8)
+    }
+
+    /// Records a tape of a trace no other test records (`seed`), crafts
+    /// its encoding, and checks that evaluating through a store holding
+    /// the crafted payload recomputes the tape instead of replaying the
+    /// payload. Returns the crafted payload.
+    fn crafted_payload_is_recomputed(
+        name: &str,
+        seed: u64,
+        craft: impl Fn(&mut [u8], usize),
+    ) -> Vec<u8> {
+        let system = sample_system();
+        let trace = workloads::by_name("tonto")
+            .unwrap()
+            .generate_shared(seed, 1_200);
+        let tape = system.record(&trace);
+        let mut bytes = encode_tape(&tape);
+        craft(&mut bytes, tape.len());
+
+        let dir =
+            std::env::temp_dir().join(format!("nvm-llc-persist-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(Store::open(&dir).unwrap());
+        store
+            .put(&tape_store_key(&system.tape_key(&trace)), &bytes)
+            .unwrap();
+        let fetched = crate::tape::cache::fetch_with_store(&system, &trace, Some(&store));
+        assert!(fetched.events().eq(tape.events()), "{name}: not recomputed");
+        assert_eq!(system.replay(&fetched), system.run(&trace), "{name}");
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    }
+
+    #[test]
+    fn tape_decode_rejects_side_counts_that_miss_the_streams() {
+        // Every event flagged an LLC read miss: each would claim a DRAM
+        // stream entry the stream does not hold.
+        let bytes = crafted_payload_is_recomputed("all-llc-misses", 0xBAD1, |bytes, n| {
+            let (_, flags_at) = lane_offsets(n);
+            let miss = crate::tape::TapeEvent::new(0, 0, false)
+                .with_outcome(crate::tape::Outcome::LlcMiss)
+                .flags;
+            bytes[flags_at..flags_at + n].fill(miss);
+        });
+        assert!(decode_tape(&bytes).is_none());
+    }
+
+    #[test]
+    fn tape_decode_rejects_out_of_range_cores() {
+        // Event 0 on core 200 of a four-core tape.
+        let bytes = crafted_payload_is_recomputed("core-200", 0xBAD2, |bytes, n| {
+            let (cores_at, _) = lane_offsets(n);
+            bytes[cores_at] = 200;
+        });
+        assert!(decode_tape(&bytes).is_none());
+    }
+
+    #[test]
+    fn stored_tape_for_another_core_count_is_recomputed() {
+        // A self-consistent payload claiming eight cores, stored under a
+        // four-core system's key: it decodes, but the fetch must not hand
+        // it to a replay that would reject the core count.
+        let bytes = crafted_payload_is_recomputed("eight-cores", 0xBAD3, |bytes, _| {
+            bytes[..4].copy_from_slice(&8u32.to_le_bytes());
+        });
+        assert_eq!(decode_tape(&bytes).map(|tape| tape.cores()), Some(8));
     }
 
     #[test]
@@ -450,11 +530,11 @@ mod tests {
 
     /// Golden-key regression pin: the persistent key derivation for one
     /// fixed (trace, system, policy) triple, frozen at `MODEL_VERSION`
-    /// 2. If any of these hex digests move, either the key derivation
+    /// 3. If any of these hex digests move, either the key derivation
     /// changed by accident (fix the code) or the observable model
     /// changed on purpose (bump `MODEL_VERSION` and re-pin here).
     #[test]
-    fn golden_keys_pin_model_version_2_derivation() {
+    fn golden_keys_pin_model_version_3_derivation() {
         use crate::policy::PolicyKind;
         let trace = sample_trace();
         let system = sample_system().with_replacement(PolicyKind::Srrip);
@@ -469,9 +549,9 @@ mod tests {
         )
         .hex();
         let got = format!("tape={tape_key} result={result_key} route={route_key}");
-        let want = "tape=2e88fb236a4a19145fad3dabf603175f \
-                    result=dab4d6cc8671889ee5ce0488db612df7 \
-                    route=0b7521ed755edbaa163a8b8fcbe26ef7";
+        let want = "tape=dfaa846633b9f1c5183f2edfe36b9512 \
+                    result=6224ea6f7f5995617b3153ca7e26d192 \
+                    route=ae78831ac9c63c025e2a44a03e364aea";
         assert_eq!(got, want, "persistent key derivation moved");
     }
 

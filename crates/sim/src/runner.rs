@@ -5,7 +5,8 @@
 //! by outcome-tape key — cells sharing a trace and a functional geometry
 //! share one functional pass *and* one batched replay — and fans the
 //! groups out over a scoped worker pool (`std::thread::scope` plus an
-//! atomic work-index queue — no external dependencies). Results land in
+//! atomic work-index queue — no external dependencies — with the calling
+//! thread as one of the workers). Results land in
 //! a pre-sized slot vector indexed by cell number and rows are assembled
 //! serially afterwards, so output is **bit-identical at every worker
 //! count**. The worker count comes from [`Evaluator::threads`], else the
@@ -16,13 +17,11 @@
 //! Cells share work at two levels. All technologies whose functional
 //! geometry matches (the whole fixed-capacity matrix, for instance) run
 //! Phase A once per workload via [`crate::tape::cache`]. On top of that,
-//! the **batched replay path** ([`System::replay_batch`], the default —
-//! see [`Evaluator::batched`]) decodes that shared tape once and drives
-//! every technology's timing engine over the single decoded stream, so a
-//! warm fixed-capacity matrix costs one decode + N cheap timing
-//! applications per workload instead of N full replays. Singleton groups
-//! (and `batched(false)` evaluators) take the per-technology
-//! [`System::run_cached`] reference path.
+//! every group replays through [`System::replay_batch`]: one pass over
+//! the shared tape's lanes drives every technology's timing engine, so
+//! a warm fixed-capacity matrix costs N cheap timing applications per
+//! workload instead of N full replays. A singleton group is simply a
+//! batch of one.
 //!
 //! With a persistent store attached ([`Evaluator::store`], or the
 //! process-wide [`crate::persist::set_global_store`]) two more tiers
@@ -205,7 +204,6 @@ pub struct Evaluator {
     cores: Option<u32>,
     warmup: f64,
     threads: Option<usize>,
-    batched: bool,
     tape_cache_bytes: Option<u64>,
     store: Option<Arc<Store>>,
     policy: Option<PolicyKind>,
@@ -222,7 +220,6 @@ impl Evaluator {
             cores: None,
             warmup: DEFAULT_WARMUP,
             threads: None,
-            batched: true,
             tape_cache_bytes: None,
             store: None,
             policy: None,
@@ -267,15 +264,6 @@ impl Evaluator {
     /// threads are spawned). Takes precedence over [`THREADS_ENV`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Enables or disables the batched replay path (default on). When
-    /// off, every cell takes the per-technology [`System::run_cached`]
-    /// reference path — useful for benchmarking the batching itself;
-    /// results are bit-identical either way.
-    pub fn batched(mut self, batched: bool) -> Self {
-        self.batched = batched;
         self
     }
 
@@ -375,7 +363,7 @@ impl Evaluator {
     /// technology) and are grouped by outcome-tape key — all
     /// technologies sharing a workload's functional geometry *and*
     /// policy form one group, replayed in a single batched pass over one
-    /// decoded tape ([`System::replay_batch`]) — and the groups are
+    /// tape ([`System::replay_batch`]) — and the groups are
     /// distributed over [`Evaluator::effective_threads`] scoped workers
     /// pulling group indices from an atomic queue. Distinct policies
     /// never share a tape (the policy is part of [`TapeKey`]), but their
@@ -384,8 +372,7 @@ impl Evaluator {
     /// independent deterministic computation over a shared
     /// [`Arc<Trace>`], and results land in a slot vector indexed by
     /// cell, so the output is bit-identical to the serial path
-    /// regardless of worker count, scheduling, or whether batching is
-    /// enabled.
+    /// regardless of worker count or scheduling.
     pub fn run_matrix(
         &self,
         workloads: &[WorkloadProfile],
@@ -451,49 +438,30 @@ impl Evaluator {
 
         // Work items: per (policy, workload), the still-unserved
         // technology columns grouped by tape key (insertion-ordered, so
-        // scheduling stays deterministic). With batching off every
-        // column is its own singleton group.
+        // scheduling stays deterministic).
         let mut groups: Vec<(usize, usize, Vec<usize>)> = Vec::new();
         for pi in 0..policies.len() {
             for (wi, trace) in traces.iter().enumerate() {
-                if self.batched {
-                    let mut by_key: Vec<(TapeKey, Vec<usize>)> = Vec::new();
-                    for mi in 0..width {
-                        if !pending(pi, wi, mi) {
-                            continue;
-                        }
-                        let key = system(pi, mi).tape_key(trace);
-                        match by_key.iter_mut().find(|(k, _)| *k == key) {
-                            Some((_, cols)) => cols.push(mi),
-                            None => by_key.push((key, vec![mi])),
-                        }
+                let mut by_key: Vec<(TapeKey, Vec<usize>)> = Vec::new();
+                for mi in 0..width {
+                    if !pending(pi, wi, mi) {
+                        continue;
                     }
-                    groups.extend(by_key.into_iter().map(|(_, cols)| (pi, wi, cols)));
-                } else {
-                    groups.extend(
-                        (0..width)
-                            .filter(|&mi| pending(pi, wi, mi))
-                            .map(|mi| (pi, wi, vec![mi])),
-                    );
+                    let key = system(pi, mi).tape_key(trace);
+                    match by_key.iter_mut().find(|(k, _)| *k == key) {
+                        Some((_, cols)) => cols.push(mi),
+                        None => by_key.push((key, vec![mi])),
+                    }
                 }
+                groups.extend(by_key.into_iter().map(|(_, cols)| (pi, wi, cols)));
             }
         }
 
-        // Singleton groups take the per-technology reference path;
-        // larger ones fetch the shared tape once and batch-replay it.
-        // Either way the tape fetch goes through the persistent middle
-        // tier when a store is attached, and freshly computed results
-        // are written back (best-effort — a full disk never fails a
-        // run).
+        // Every group fetches its shared tape once and batch-replays it.
+        // The tape fetch goes through the persistent middle tier when a
+        // store is attached, and freshly computed results are written
+        // back (best-effort — a full disk never fails a run).
         let run_group = |pi: usize, wi: usize, cols: &[usize]| -> Vec<SimResult> {
-            if let [mi] = cols {
-                let tape = crate::tape::cache::fetch_with_store(
-                    system(pi, *mi),
-                    &traces[wi],
-                    store.as_ref(),
-                );
-                return vec![system(pi, *mi).replay(&tape)];
-            }
             let group: Vec<&System> = cols.iter().map(|&mi| system(pi, mi)).collect();
             let tape = crate::tape::cache::fetch_with_store(group[0], &traces[wi], store.as_ref());
             System::replay_batch(&group, &tape)
@@ -519,24 +487,32 @@ impl Evaluator {
             }
         } else {
             let next = AtomicUsize::new(0);
-            // Worker threads inherit the caller's trace context (if a
+            let (next, groups, slots, place) = (&next, &groups, &slots, &place);
+            let work = move || loop {
+                let item = next.fetch_add(1, Ordering::Relaxed);
+                let Some((pi, wi, cols)) = groups.get(item) else {
+                    break;
+                };
+                place(slots.as_slice(), *pi, *wi, cols);
+            };
+            // Helper threads inherit the caller's trace context (if a
             // request is being traced) so their spans land in its tree.
             let trace = nvm_llc_obs::trace::handle();
-            let (next, groups, slots, place) = (&next, &groups, &slots, &place);
+            // The calling thread pulls groups too instead of idling in the
+            // scope's join: `threads` workers are `threads - 1` helpers
+            // plus the caller. Besides saving a spawn, tapes recorded on
+            // the caller share its allocator arena with the traces, so
+            // clearing the caches between cold matrices hands fewer pages
+            // back to the OS.
             std::thread::scope(|scope| {
-                for _ in 0..threads {
+                for _ in 1..threads {
                     let trace = trace.clone();
                     scope.spawn(move || {
                         let _trace = trace.map(|h| h.attach());
-                        loop {
-                            let item = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((pi, wi, cols)) = groups.get(item) else {
-                                break;
-                            };
-                            place(slots.as_slice(), *pi, *wi, cols);
-                        }
+                        work();
                     });
                 }
+                work();
             });
         }
         let results: Vec<SimResult> = slots
@@ -645,15 +621,38 @@ mod tests {
         assert!(row.entries.iter().all(|e| e.speedup <= best_s.speedup));
     }
 
+    /// The reference every batched cell is held to: the fused
+    /// single-pass `System::run` of that cell, configured exactly as the
+    /// evaluator configures it.
+    fn fused_cell(evaluator: &Evaluator, llc: &LlcModel, w: &WorkloadProfile) -> SimResult {
+        let trace = w.generate_shared(evaluator.seed, w.scaled_accesses(evaluator.base_accesses));
+        System::new(evaluator.config(llc))
+            .with_warmup(evaluator.warmup)
+            .with_replacement(evaluator.effective_policy())
+            .run(&trace)
+    }
+
+    /// Asserts every cell of `row` equals its fused reference run.
+    fn assert_row_matches_fused(evaluator: &Evaluator, w: &WorkloadProfile, row: &MatrixRow) {
+        assert_eq!(row.baseline, fused_cell(evaluator, &evaluator.baseline, w));
+        assert_eq!(row.entries.len(), evaluator.nvms.len());
+        for (entry, llc) in row.entries.iter().zip(&evaluator.nvms) {
+            assert_eq!(entry.result, fused_cell(evaluator, llc, w), "{}", entry.llc);
+        }
+    }
+
     #[test]
     fn batched_and_per_technology_paths_are_bit_identical() {
+        // Every batched cell equals the per-technology fused run.
         let ws: Vec<_> = ["tonto", "leela"]
             .iter()
             .map(|n| workloads::by_name(n).unwrap())
             .collect();
-        let batched = small_evaluator().run_all(&ws);
-        let per_tech = small_evaluator().batched(false).run_all(&ws);
-        assert_eq!(batched, per_tech);
+        let evaluator = small_evaluator();
+        let rows = evaluator.run_all(&ws);
+        for (w, row) in ws.iter().zip(&rows) {
+            assert_row_matches_fused(&evaluator, w, row);
+        }
     }
 
     #[test]
@@ -664,12 +663,9 @@ mod tests {
         let models = reference::fixed_area();
         let baseline = reference::by_name(&models, "SRAM").unwrap();
         let nvms: Vec<_> = models.into_iter().filter(|m| m.name != "SRAM").collect();
-        let make = || Evaluator::new(baseline.clone(), nvms.clone()).base_accesses(6_000);
+        let evaluator = Evaluator::new(baseline, nvms).base_accesses(6_000);
         let w = workloads::by_name("gobmk").unwrap();
-        assert_eq!(
-            make().run_workload(&w),
-            make().batched(false).run_workload(&w)
-        );
+        assert_row_matches_fused(&evaluator, &w, &evaluator.run_workload(&w));
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //! latencies, port contention, ROB/MSHR overlap, DRAM model, and energy).
 //! [`System::run`] fuses the two in a single pass; [`System::record`]
 //! captures the functional half as an [`OutcomeTape`] that
-//! [`System::replay`] can re-time for any technology sharing the
-//! geometry. Both paths drive the *same* `TimingEngine` code over the
-//! same event sequence, so replayed results are bit-identical to direct
-//! runs by construction. [`System::run_cached`] memoizes tapes
-//! process-wide via [`crate::tape::cache`].
+//! [`System::replay_batch`] re-times for any set of technologies sharing
+//! the geometry ([`System::replay`] is a batch of one). Replay has two
+//! kernels: [`TimingEngine::apply`], the general one that `run` also
+//! drives, and `SimpleBank`, the fast one for the dominant configuration
+//! class, which performs the same floating-point operations in the same
+//! per-lane order. Replayed results are therefore bit-identical to the
+//! fused run, which stays as the independent reference the tests compare
+//! against. [`System::run_cached`] memoizes tapes process-wide via
+//! [`crate::tape::cache`].
 //!
 //! ## Modeling decisions (and where they come from)
 //!
@@ -49,12 +53,13 @@ use std::sync::Arc;
 use nvm_llc_cell::units::{Joules, Seconds};
 use nvm_llc_trace::{AccessKind, Trace};
 
-use crate::cache::{Replacement, SetAssocCache};
+use crate::cache::SetAssocCache;
 use crate::config::{ArchConfig, LlcWritePolicy};
 use crate::dram::Dram;
 use crate::endurance::{EnduranceTracker, WearPolicy};
+use crate::policy::PolicyKind;
 use crate::result::{SimResult, SimStats};
-use crate::tape::{DecodedEvent, EventRecord, Outcome, OutcomeTape, SideEvents, TapeKey};
+use crate::tape::{Outcome, OutcomeTape, SideEvents, TapeEvent, TapeKey, REPLAY_CHUNK_EVENTS};
 use crate::techniques::DeadBlockPredictor;
 
 /// Fraction of the LLC read-hit latency a load exposes to the critical
@@ -87,10 +92,10 @@ struct TimingLane {
 
 /// The timing/energy half of the simulator: applies one technology's
 /// cycle latencies, port contention, ROB/MSHR miss overlap, and DRAM
-/// model to a stream of functional [`EventRecord`]s.
+/// model to a stream of functional [`TapeEvent`]s.
 ///
-/// The fused [`System::run`] and the tape-driven [`System::replay`] both
-/// feed [`TimingEngine::apply`] the same records in the same order, so
+/// The fused [`System::run`] and the tape-driven [`System::replay_batch`]
+/// feed [`TimingEngine::apply`] the same events in the same order, so
 /// the two paths execute literally the same floating-point operation
 /// sequence — bit-identical results are structural, not coincidental.
 #[derive(Debug)]
@@ -148,13 +153,12 @@ impl TimingEngine {
     /// exactly how many entries each consumes, so a single running
     /// iterator serves a whole tape.
     ///
-    /// Every path — the fused [`System::run`], the per-technology
-    /// [`System::replay`], and the batched [`System::replay_batch`] —
-    /// funnels through this one function, so their floating-point
-    /// operation sequences are literally identical.
+    /// The general kernel: the fused [`System::run`] and every engine of
+    /// [`System::replay_batch`] outside the `SimpleBank` funnel through
+    /// this one function, and the bank reproduces its arithmetic exactly.
     fn apply(
         &mut self,
-        rec: DecodedEvent,
+        rec: TapeEvent,
         wear: &mut impl Iterator<Item = u64>,
         dram_blocks: &mut impl Iterator<Item = u64>,
         endurance: &mut Option<EnduranceTracker>,
@@ -276,151 +280,51 @@ impl TimingEngine {
         }
     }
 
-    /// Whether [`Self::apply_chunk_simple`] computes exactly what
-    /// [`Self::apply`] would for this engine: with off-critical-path LLC
-    /// writes every `write_timing` call is a no-op, and with the analytic
-    /// DRAM model no side-stream *value* is ever read — `record_wear`
-    /// and the DRAM cursor only advance position (which the chunk bases
-    /// pre-encode), so the whole side machinery drops out. The caller
-    /// must additionally check that no endurance tracker is attached.
-    fn chunk_kernel_is_simple(&self) -> bool {
+    /// Whether the `SimpleBank` computes exactly what [`Self::apply`]
+    /// would for this engine: with off-critical-path LLC writes every
+    /// `write_timing` call is a no-op, and with the analytic DRAM model
+    /// no side-stream *value* is ever read — `record_wear` and the DRAM
+    /// cursor only advance position, so the whole side machinery drops
+    /// out. The caller must additionally check that no endurance tracker
+    /// is attached.
+    fn is_simple(&self) -> bool {
         self.write_policy == LlcWritePolicy::OffCriticalPath && self.dram.is_none()
-    }
-
-    /// One chunk of the batched replay for the simple configuration
-    /// class (see [`Self::chunk_kernel_is_simple`]): a branch-light pass
-    /// over the decoded lanes of [`crate::tape::DecodedTape`].
-    ///
-    /// Bit-identical to feeding the same events through [`Self::apply`]:
-    /// the per-event floating-point additions happen in the same order on
-    /// the same values — `gaps_f[i]` is the exact `f64` of the `u32` gap,
-    /// and the hoisted per-event constants (`llc_read_cycles *
-    /// LLC_HIT_EXPOSURE`, `llc_tag_cycles + dram_cycles`) are the very
-    /// products/sums `apply` recomputes identically per event.
-    fn apply_chunk_simple(&mut self, gaps: &[u32], gaps_f: &[f64], cores: &[u8], flags: &[u8]) {
-        debug_assert!(self.chunk_kernel_is_simple());
-        debug_assert_eq!(gaps.len(), gaps_f.len());
-        debug_assert_eq!(gaps.len(), cores.len());
-        debug_assert_eq!(gaps.len(), flags.len());
-        let base_cpi = self.base_cpi;
-        let l2_cycles = self.l2_cycles;
-        let llc_hit_cycles = self.llc_read_cycles * LLC_HIT_EXPOSURE;
-        let miss_open_cycles = self.llc_tag_cycles + self.dram_cycles;
-        let transfer_cycles = self.dram_transfer_cycles;
-        let (rob, mshrs) = (self.rob, self.mshrs);
-        if let [lane] = self.lanes.as_mut_slice() {
-            // Single-core tape: the lane state lives in registers for the
-            // whole chunk instead of round-tripping through memory.
-            let (mut cycles, mut instructions, mut shadow_end, mut shadow_misses) = (
-                lane.cycles,
-                lane.instructions,
-                lane.miss_shadow_end,
-                lane.shadow_misses,
-            );
-            for ((&gap, &gap_f), &flag) in gaps.iter().zip(gaps_f).zip(flags) {
-                let ev = DecodedEvent {
-                    gap,
-                    core: 0,
-                    flags: flag,
-                };
-                cycles += gap_f * base_cpi + base_cpi;
-                instructions += u64::from(gap) + 1;
-                match ev.outcome() {
-                    Outcome::L1Hit => {}
-                    Outcome::L2Hit => {
-                        if !ev.is_write() {
-                            cycles += l2_cycles;
-                        }
-                    }
-                    Outcome::LlcHit => {
-                        if !ev.is_write() {
-                            cycles += llc_hit_cycles;
-                        }
-                    }
-                    Outcome::LlcMiss => {
-                        if !ev.is_write() {
-                            if instructions >= shadow_end || shadow_misses >= mshrs {
-                                cycles += miss_open_cycles;
-                                shadow_end = instructions + rob;
-                                shadow_misses = 1;
-                            } else {
-                                cycles += transfer_cycles;
-                                shadow_misses += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            lane.cycles = cycles;
-            lane.instructions = instructions;
-            lane.miss_shadow_end = shadow_end;
-            lane.shadow_misses = shadow_misses;
-        } else {
-            for (((&gap, &gap_f), &flag), &core) in gaps.iter().zip(gaps_f).zip(flags).zip(cores) {
-                let ev = DecodedEvent {
-                    gap,
-                    core,
-                    flags: flag,
-                };
-                let lane = &mut self.lanes[usize::from(core)];
-                lane.cycles += gap_f * base_cpi + base_cpi;
-                lane.instructions += u64::from(gap) + 1;
-                match ev.outcome() {
-                    Outcome::L1Hit => {}
-                    Outcome::L2Hit => {
-                        if !ev.is_write() {
-                            lane.cycles += l2_cycles;
-                        }
-                    }
-                    Outcome::LlcHit => {
-                        if !ev.is_write() {
-                            lane.cycles += llc_hit_cycles;
-                        }
-                    }
-                    Outcome::LlcMiss => {
-                        if !ev.is_write() {
-                            if lane.instructions >= lane.miss_shadow_end
-                                || lane.shadow_misses >= mshrs
-                            {
-                                lane.cycles += miss_open_cycles;
-                                lane.miss_shadow_end = lane.instructions + rob;
-                                lane.shadow_misses = 1;
-                            } else {
-                                lane.cycles += transfer_cycles;
-                                lane.shadow_misses += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
-/// All simple single-lane engines of one batched replay, restructured as
-/// parallel per-engine constant and state lanes so a chunk pass updates
-/// every engine per event with one outcome dispatch and a handful of
-/// vectorizable inner loops.
+/// The fast replay kernel: every simple engine of one batched replay
+/// (see [`TimingEngine::is_simple`], no endurance tracker), restructured
+/// as parallel per-engine constant and state lanes so a chunk pass
+/// updates every engine per event with one outcome dispatch and a
+/// handful of vectorizable inner loops.
 ///
-/// Rationale: a lone engine's chunk pass is bound by per-event overhead
+/// Rationale: a lone engine's pass is bound by per-event overhead
 /// (outcome dispatch plus the serial `cycles` dependency chain), so
 /// running the bank engine-by-engine pays that bound once per engine per
 /// event. Event-major over engine lanes pays the dispatch once per event
-/// for the whole bank, and the per-engine `cycles += gap_f * cpi[k] +
-/// cpi[k]` updates are independent across `k` — a straight-line FMA loop
+/// for the whole bank, and the per-engine `cycles += gap * cpi[k] +
+/// cpi[k]` updates are independent across `k` — a straight-line loop
 /// the compiler can vectorize.
 ///
-/// Bit-identity with [`TimingEngine::apply`] holds per engine: each
-/// engine's floating-point additions happen in the same order on the
-/// same values (vector lanes never reassociate within one engine's
-/// chain). The single `instructions` counter is sound because the
-/// instruction count is tape-derived — identical across every
-/// single-lane engine — and each engine's shadow-window test reads it at
-/// the same point `apply` would.
+/// Bit-identity with [`TimingEngine::apply`] holds per engine and core:
+/// each timing lane's floating-point additions happen in the same order
+/// on the same values (vector lanes never reassociate within one chain).
+/// A simple engine shares no state between its per-core timing lanes —
+/// writes are off the critical path, so no port is claimed, and the
+/// analytic DRAM keeps no queue — so each core's lane depends only on
+/// that core's events in tape order. A multi-core tape therefore runs as
+/// one pass per core over that core's events; a single-core tape as one
+/// unfiltered pass. Each pass keeps its own instruction counter, which
+/// is sound to share across the bank because it is tape-derived —
+/// identical for every engine — and each engine's shadow-window test
+/// reads it at the same point `apply` would.
 struct SimpleBank {
     /// Slot of each bank member in the caller's engine vector.
     slots: Vec<usize>,
-    // Per-engine hoisted constants, in `slots` order.
+    /// Whether every event ran on core 0, so one unfiltered pass serves.
+    single_core: bool,
+    // Per-engine hoisted constants, in `slots` order, padded to a
+    // multiple of four.
     cpi: Vec<f64>,
     l2_cycles: Vec<f64>,
     llc_hit_cycles: Vec<f64>,
@@ -428,115 +332,119 @@ struct SimpleBank {
     transfer_cycles: Vec<f64>,
     rob: Vec<u64>,
     mshrs: Vec<u32>,
-    // Per-engine lane state, in `slots` order.
+    // Per-(core, engine) lane state, core-major: entry
+    // `core * width + k` with `width` the padded engine count.
     cycles: Vec<f64>,
     shadow_end: Vec<u64>,
     shadow_misses: Vec<u32>,
-    /// Shared instruction counter (identical for every member).
-    instructions: u64,
+    /// Per-core instruction counter (identical for every member).
+    instructions: Vec<u64>,
 }
 
 impl SimpleBank {
     /// Collects every engine that can run in the bank: the simple
-    /// configuration class ([`TimingEngine::chunk_kernel_is_simple`]),
-    /// no endurance tracker, and a single-core tape
-    /// ([`DecodedTape::is_single_core`]) so only timing lane 0 is ever
-    /// touched — which is also what makes the shared instruction
-    /// counter sound. `single_core` false yields an empty bank.
-    fn gather(bank: &[(TimingEngine, Option<EnduranceTracker>)], single_core: bool) -> SimpleBank {
+    /// configuration class ([`TimingEngine::is_simple`]) with no
+    /// endurance tracker. The engines are fresh (every timing lane at
+    /// zero), so the bank's lane state starts at zero too.
+    fn gather(bank: &[(TimingEngine, Option<EnduranceTracker>)], tape: &OutcomeTape) -> SimpleBank {
+        let slots: Vec<usize> = (0..bank.len())
+            .filter(|&slot| {
+                let (engine, tracker) = &bank[slot];
+                engine.is_simple() && tracker.is_none()
+            })
+            .collect();
+        // Pad to a multiple of the narrowest block width with inert
+        // lanes (all-zero constants keep their cycles at `0.0 + gap *
+        // 0.0 + 0.0` forever) so [`Self::pass`] can run exact
+        // constant-width blocks: one wide pass beats several narrow ones
+        // because the per-event scaffolding (flag decode, class
+        // dispatch) is paid per pass, not per lane.
+        let width = slots.len().next_multiple_of(4);
+        let passes = if tape.is_single_core() {
+            1
+        } else {
+            tape.cores() as usize
+        };
         let mut this = SimpleBank {
             slots: Vec::new(),
-            cpi: Vec::new(),
-            l2_cycles: Vec::new(),
-            llc_hit_cycles: Vec::new(),
-            miss_open_cycles: Vec::new(),
-            transfer_cycles: Vec::new(),
-            rob: Vec::new(),
-            mshrs: Vec::new(),
-            cycles: Vec::new(),
-            shadow_end: Vec::new(),
-            shadow_misses: Vec::new(),
-            instructions: 0,
+            single_core: tape.is_single_core(),
+            cpi: vec![0.0; width],
+            l2_cycles: vec![0.0; width],
+            llc_hit_cycles: vec![0.0; width],
+            miss_open_cycles: vec![0.0; width],
+            transfer_cycles: vec![0.0; width],
+            rob: vec![0; width],
+            mshrs: vec![0; width],
+            cycles: vec![0.0; passes * width],
+            shadow_end: vec![0; passes * width],
+            shadow_misses: vec![0; passes * width],
+            instructions: vec![0; passes],
         };
-        if !single_core {
-            return this;
+        for (k, &slot) in slots.iter().enumerate() {
+            let engine = &bank[slot].0;
+            this.cpi[k] = engine.base_cpi;
+            this.l2_cycles[k] = engine.l2_cycles;
+            this.llc_hit_cycles[k] = engine.llc_read_cycles * LLC_HIT_EXPOSURE;
+            this.miss_open_cycles[k] = engine.llc_tag_cycles + engine.dram_cycles;
+            this.transfer_cycles[k] = engine.dram_transfer_cycles;
+            this.rob[k] = engine.rob;
+            this.mshrs[k] = engine.mshrs;
         }
-        for (slot, (engine, tracker)) in bank.iter().enumerate() {
-            if !(engine.chunk_kernel_is_simple() && tracker.is_none()) {
-                continue;
-            }
-            this.slots.push(slot);
-            this.cpi.push(engine.base_cpi);
-            this.l2_cycles.push(engine.l2_cycles);
-            this.llc_hit_cycles
-                .push(engine.llc_read_cycles * LLC_HIT_EXPOSURE);
-            this.miss_open_cycles
-                .push(engine.llc_tag_cycles + engine.dram_cycles);
-            this.transfer_cycles.push(engine.dram_transfer_cycles);
-            this.rob.push(engine.rob);
-            this.mshrs.push(engine.mshrs);
-            let lane = &engine.lanes[0];
-            this.cycles.push(lane.cycles);
-            this.shadow_end.push(lane.miss_shadow_end);
-            this.shadow_misses.push(lane.shadow_misses);
-            this.instructions = lane.instructions;
-        }
-        // Pad to a multiple of the narrowest block width with inert
-        // lanes (all-zero constants keep their cycles at `0.0 +
-        // gap_f * 0.0 + 0.0` forever) so [`Self::apply_chunk`] can run
-        // exact constant-width blocks: one wide pass beats several
-        // narrow ones because the per-event scaffolding (flag decode,
-        // class dispatch) is paid per pass, not per lane.
-        while !this.cycles.len().is_multiple_of(4) {
-            this.cpi.push(0.0);
-            this.l2_cycles.push(0.0);
-            this.llc_hit_cycles.push(0.0);
-            this.miss_open_cycles.push(0.0);
-            this.transfer_cycles.push(0.0);
-            this.rob.push(0);
-            this.mshrs.push(0);
-            this.cycles.push(0.0);
-            this.shadow_end.push(0);
-            this.shadow_misses.push(0);
-        }
+        this.slots = slots;
         this
     }
 
-    /// Advances every bank member over one chunk of decoded lanes.
-    ///
-    /// Members run in constant-width blocks (widest available first):
-    /// a compile-time width fully unrolls the per-engine loops and
-    /// keeps the block state in registers or compile-time stack slots,
-    /// which a dynamic-width loop over the backing vectors never
-    /// achieves. The bank is padded to a multiple of four, so only the
-    /// 4/8/12/16 instantiations exist; each block streams the whole
-    /// chunk, which stays resident in L1 across blocks.
-    fn apply_chunk(&mut self, gaps: &[u32], gaps_f: &[f64], flags: &[u8]) {
-        debug_assert_eq!(gaps.len(), gaps_f.len());
-        debug_assert_eq!(gaps.len(), flags.len());
+    /// Advances every bank member over one chunk of tape lanes: one
+    /// pass per core over that core's events (a single unfiltered pass
+    /// on a single-core tape).
+    fn apply_chunk(&mut self, gaps: &[u32], cores: &[u8], flags: &[u8]) {
         if self.slots.is_empty() {
             return;
         }
-        let padded = self.cycles.len();
-        let mut base = 0;
-        while padded - base > 16 {
-            self.apply_chunk_block::<16>(base, gaps, gaps_f, flags);
-            base += 16;
+        if self.single_core {
+            self.pass(0, || gaps.iter().copied().zip(flags.iter().copied()));
+            return;
         }
-        match padded - base {
-            4 => self.apply_chunk_block::<4>(base, gaps, gaps_f, flags),
-            8 => self.apply_chunk_block::<8>(base, gaps, gaps_f, flags),
-            12 => self.apply_chunk_block::<12>(base, gaps, gaps_f, flags),
-            16 => self.apply_chunk_block::<16>(base, gaps, gaps_f, flags),
-            _ => unreachable!("bank padded to a multiple of 4"),
+        for core in 0..self.instructions.len() {
+            let core_id = core as u8;
+            self.pass(core, || {
+                gaps.iter()
+                    .zip(cores)
+                    .zip(flags)
+                    .filter(move |&((_, &c), _)| c == core_id)
+                    .map(|((&gap, _), &flag)| (gap, flag))
+            });
         }
-        // Every block advanced an identical tape-derived count; commit
-        // it once.
-        let advanced: u64 = gaps.iter().map(|&g| u64::from(g) + 1).sum();
-        self.instructions += advanced;
     }
 
-    /// One `W`-engine block of [`Self::apply_chunk`].
+    /// One core's pass over a chunk. Members run in constant-width
+    /// blocks (widest available first): a compile-time width fully
+    /// unrolls the per-engine loops and keeps the block state in
+    /// registers or compile-time stack slots, which a dynamic-width loop
+    /// over the backing vectors never achieves. The bank is padded to a
+    /// multiple of four, so only the 4/8/12/16 instantiations exist; each
+    /// block streams the whole chunk, which stays resident in L1 across
+    /// blocks.
+    fn pass<I: Iterator<Item = (u32, u8)>>(&mut self, core: usize, events: impl Fn() -> I) {
+        let width = self.cpi.len();
+        let mut base = 0;
+        while width - base > 16 {
+            self.apply_block::<16>(core, base, events());
+            base += 16;
+        }
+        // Every block advances an identical tape-derived count; the last
+        // one commits it.
+        self.instructions[core] = match width - base {
+            4 => self.apply_block::<4>(core, base, events()),
+            8 => self.apply_block::<8>(core, base, events()),
+            12 => self.apply_block::<12>(core, base, events()),
+            16 => self.apply_block::<16>(core, base, events()),
+            _ => unreachable!("bank padded to a multiple of 4"),
+        };
+    }
+
+    /// One `W`-engine block of [`Self::pass`]; returns the core's
+    /// instruction count after the chunk.
     ///
     /// The event loop is branchless except for LLC read misses: the
     /// class/write bits select which per-engine additive term joins the
@@ -546,14 +454,14 @@ impl SimpleBank {
     /// open-vs-shadowed decision flips data-dependently per lane. Every
     /// selected addend is the exact value [`TimingEngine::apply`]'s
     /// branchy form would add, in the same order, so rounding is
-    /// unchanged.
-    fn apply_chunk_block<const W: usize>(
+    /// unchanged; `f64::from` of the `u32` gap is exact.
+    fn apply_block<const W: usize>(
         &mut self,
+        core: usize,
         base: usize,
-        gaps: &[u32],
-        gaps_f: &[f64],
-        flags: &[u8],
-    ) {
+        events: impl Iterator<Item = (u32, u8)>,
+    ) -> u64 {
+        let at = core * self.cpi.len() + base;
         let cpi: [f64; W] = core::array::from_fn(|j| self.cpi[base + j]);
         let l2: [f64; W] = core::array::from_fn(|j| self.l2_cycles[base + j]);
         let hit: [f64; W] = core::array::from_fn(|j| self.llc_hit_cycles[base + j]);
@@ -562,18 +470,19 @@ impl SimpleBank {
         let rob: [u64; W] = core::array::from_fn(|j| self.rob[base + j]);
         let mshrs: [u32; W] = core::array::from_fn(|j| self.mshrs[base + j]);
         let zeros = [0.0f64; W];
-        let mut cycles: [f64; W] = core::array::from_fn(|j| self.cycles[base + j]);
-        let mut shadow_end: [u64; W] = core::array::from_fn(|j| self.shadow_end[base + j]);
-        let mut shadow_misses: [u32; W] = core::array::from_fn(|j| self.shadow_misses[base + j]);
+        let mut cycles: [f64; W] = core::array::from_fn(|j| self.cycles[at + j]);
+        let mut shadow_end: [u64; W] = core::array::from_fn(|j| self.shadow_end[at + j]);
+        let mut shadow_misses: [u32; W] = core::array::from_fn(|j| self.shadow_misses[at + j]);
         let class_add: [&[f64; W]; 4] = [&zeros, &l2, &hit, &zeros];
-        let mut instructions = self.instructions;
-        for ((&gap, &gap_f), &flag) in gaps.iter().zip(gaps_f).zip(flags) {
+        let mut instructions = self.instructions[core];
+        for (gap, flag) in events {
             instructions += u64::from(gap) + 1;
+            let gap = f64::from(gap);
             let write = flag & 1 != 0;
             let class = usize::from((flag >> 1) & 0b11);
             let extra = if write { &zeros } else { class_add[class] };
             for k in 0..W {
-                let gap_cycles = cycles[k] + (gap_f * cpi[k] + cpi[k]);
+                let gap_cycles = cycles[k] + (gap * cpi[k] + cpi[k]);
                 cycles[k] = gap_cycles + extra[k];
             }
             if class == 3 && !write {
@@ -589,19 +498,23 @@ impl SimpleBank {
                 }
             }
         }
-        self.cycles[base..base + W].copy_from_slice(&cycles);
-        self.shadow_end[base..base + W].copy_from_slice(&shadow_end);
-        self.shadow_misses[base..base + W].copy_from_slice(&shadow_misses);
+        self.cycles[at..at + W].copy_from_slice(&cycles);
+        self.shadow_end[at..at + W].copy_from_slice(&shadow_end);
+        self.shadow_misses[at..at + W].copy_from_slice(&shadow_misses);
+        instructions
     }
 
     /// Writes the accumulated lane state back into the member engines.
     fn scatter(&self, bank: &mut [(TimingEngine, Option<EnduranceTracker>)]) {
-        for (k, &slot) in self.slots.iter().enumerate() {
-            let lane = &mut bank[slot].0.lanes[0];
-            lane.cycles = self.cycles[k];
-            lane.instructions = self.instructions;
-            lane.miss_shadow_end = self.shadow_end[k];
-            lane.shadow_misses = self.shadow_misses[k];
+        let width = self.cpi.len();
+        for (core, &instructions) in self.instructions.iter().enumerate() {
+            for (k, &slot) in self.slots.iter().enumerate() {
+                let lane = &mut bank[slot].0.lanes[core];
+                lane.cycles = self.cycles[core * width + k];
+                lane.instructions = instructions;
+                lane.miss_shadow_end = self.shadow_end[core * width + k];
+                lane.shadow_misses = self.shadow_misses[core * width + k];
+            }
         }
     }
 }
@@ -654,7 +567,7 @@ fn write_timing(
 #[derive(Debug)]
 pub struct System {
     config: ArchConfig,
-    replacement: Replacement,
+    replacement: PolicyKind,
     warmup_fraction: f64,
     endurance: Option<WearPolicy>,
 }
@@ -665,7 +578,7 @@ impl System {
     pub fn new(config: ArchConfig) -> Self {
         System {
             config,
-            replacement: Replacement::Lru,
+            replacement: PolicyKind::Lru,
             warmup_fraction: 0.0,
             endurance: None,
         }
@@ -697,7 +610,7 @@ impl System {
 
     /// Overrides the replacement policy in every cache level (the
     /// replacement-sensitivity ablation).
-    pub fn with_replacement(mut self, replacement: Replacement) -> Self {
+    pub fn with_replacement(mut self, replacement: PolicyKind) -> Self {
         self.replacement = replacement;
         self
     }
@@ -719,7 +632,7 @@ impl System {
         let mut endurance = self.endurance_tracker();
         let stats = self.functional_walk(trace, |rec, sides| {
             engine.apply(
-                rec.decode(),
+                rec,
                 &mut sides.endurance().iter().copied(),
                 &mut sides.dram().iter().copied(),
                 &mut endurance,
@@ -729,8 +642,8 @@ impl System {
     }
 
     /// Phase A alone: runs the functional pass and captures the outcome
-    /// tape ([`crate::tape`]) that [`System::replay`] can re-time for any
-    /// technology sharing this system's [`TapeKey`] geometry.
+    /// tape ([`crate::tape`]) that [`System::replay_batch`] can re-time
+    /// for any technology sharing this system's [`TapeKey`] geometry.
     pub fn record(&self, trace: &Trace) -> OutcomeTape {
         let _span = nvm_llc_obs::span!("tape_record");
         let roi_events = trace.len() - self.warmup_events(trace);
@@ -741,44 +654,39 @@ impl System {
     }
 
     /// Phase B alone: applies this system's technology timing and energy
-    /// to a recorded tape. Bit-identical to [`System::run`] on the trace
-    /// the tape was recorded from, for any configuration that shares the
-    /// tape's functional geometry.
+    /// to a recorded tape — [`System::replay_batch`] over a batch of
+    /// one. Bit-identical to [`System::run`] on the trace the tape was
+    /// recorded from, for any configuration that shares the tape's
+    /// functional geometry.
     ///
     /// # Panics
     ///
     /// Panics if the tape was recorded for a different core count (the
     /// clearest symptom of keying a tape cache incorrectly).
     pub fn replay(&self, tape: &OutcomeTape) -> SimResult {
-        let _span = nvm_llc_obs::span!("tape_replay");
-        assert_eq!(
-            tape.cores(),
-            self.config.cores,
-            "outcome tape recorded for a different core count"
-        );
-        let mut engine = TimingEngine::new(&self.config);
-        let mut endurance = self.endurance_tracker();
-        let mut wear = tape.endurance_blocks();
-        let mut dram_blocks = tape.dram_blocks();
-        for &rec in tape.records() {
-            engine.apply(rec.decode(), &mut wear, &mut dram_blocks, &mut endurance);
-        }
-        self.finalize(tape.stats().clone(), engine, endurance)
+        Self::replay_batch(&[self], tape)
+            .pop()
+            .expect("one system in, one result out")
     }
 
-    /// Phase B for a whole technology group at once: decodes `tape` a
-    /// single time into its flat-array form
-    /// ([`DecodedTape`](crate::tape::DecodedTape)) and then
-    /// streams one timing engine per system over the shared decoded
-    /// event and side arrays, technology-major — each engine's pass is
-    /// a pure accumulation loop with all record unpacking and varint
-    /// decoding already hoisted out.
+    /// Phase B for a whole technology group at once: one pass over the
+    /// tape's lanes drives a timing engine per system.
     ///
-    /// Results are bit-identical to calling [`System::replay`] once per
-    /// system: both paths funnel every event through the same
-    /// `TimingEngine::apply` in the same order with the same side-stream
-    /// values — only the per-technology record unpacking and varint
-    /// decoding are hoisted out. The systems may differ in any
+    /// The lanes are walked chunk-major, engine-inner: every engine
+    /// streams one fixed-size block of events
+    /// ([`REPLAY_CHUNK_EVENTS`]) before any engine moves to the next,
+    /// so a chunk's lanes stay resident in L1 across the whole batch.
+    /// The dominant configuration class (off-critical-path writes,
+    /// analytic DRAM, no endurance tracking) never reads a side-stream
+    /// value, so those engines fuse into the fast `SimpleBank` kernel:
+    /// one outcome dispatch per event drives vectorizable per-engine
+    /// lane updates. Every other engine runs the general
+    /// `TimingEngine::apply` kernel with its own running side-stream
+    /// cursors, carried across chunks.
+    ///
+    /// Results are bit-identical to [`System::run`] per system: both
+    /// kernels perform `apply`'s floating-point operations on the same
+    /// values in the same per-lane order. The systems may differ in any
     /// timing-only knob (technology model, write policy, MSHRs, DRAM
     /// backend, write mode, endurance tracking) but must share the
     /// tape's functional geometry.
@@ -795,54 +703,28 @@ impl System {
                 "outcome tape recorded for a different core count"
             );
         }
-        let decoded = tape.decoded();
         let mut bank: Vec<(TimingEngine, Option<EnduranceTracker>)> = systems
             .iter()
             .map(|s| (TimingEngine::new(&s.config), s.endurance_tracker()))
             .collect();
-        // Chunk-major, engine-inner: every engine streams one fixed-size
-        // block of the decoded lanes ([`REPLAY_CHUNK_EVENTS`]) before any
-        // engine moves to the next, so a chunk's lanes stay resident in
-        // L1 across the whole bank while each engine's pass over it is a
-        // tight, branch-light accumulation loop (lane state in
-        // registers). Pure engine-major would stream the full tape per
-        // engine (cold lanes every pass); pure event-major pays per-event
-        // dispatch for every engine. The decode pass pre-recorded the
-        // side-stream cursor positions at each chunk boundary, so every
-        // engine starts a chunk at the same offsets without rewalking the
-        // prefix — every engine consumes identical side entries.
-        // The dominant configuration class (off-critical-path writes,
-        // analytic DRAM, no endurance tracking) never reads a
-        // side-stream value — only the cursors would advance, and chunk
-        // bases already encode those — so on single-core tapes those
-        // engines fuse into one event-major `SimpleBank` pass per chunk:
-        // one outcome dispatch per event drives vectorizable per-engine
-        // lane updates. Everything else streams the chunk on its own —
-        // multi-core simple engines through the scalar simple kernel,
-        // the rest through the full `apply` path with side streams.
-        let mut simple_bank = SimpleBank::gather(&bank, decoded.is_single_core());
-        let singles: Vec<usize> = (0..bank.len())
+        let mut simple_bank = SimpleBank::gather(&bank, tape);
+        let mut general: Vec<_> = (0..bank.len())
             .filter(|slot| !simple_bank.slots.contains(slot))
+            .map(|slot| (slot, tape.endurance_blocks(), tape.dram_blocks()))
             .collect();
-        for chunk in 0..decoded.num_chunks() {
+        let (gaps, cores, flags) = tape.lanes();
+        for start in (0..tape.len()).step_by(REPLAY_CHUNK_EVENTS) {
             let _span = nvm_llc_obs::span!("tape_replay_chunk");
-            let range = decoded.chunk_range(chunk);
-            let (wear_base, dram_base) = decoded.chunk_side_base(chunk);
-            let gaps = &decoded.gap_lane()[range.clone()];
-            let gaps_f = &decoded.gap_f64_lane()[range.clone()];
-            let cores = &decoded.core_lane()[range.clone()];
-            let flags = &decoded.flag_lane()[range.clone()];
-            simple_bank.apply_chunk(gaps, gaps_f, flags);
-            for &slot in &singles {
-                let (engine, tracker) = &mut bank[slot];
-                if engine.chunk_kernel_is_simple() && tracker.is_none() {
-                    engine.apply_chunk_simple(gaps, gaps_f, cores, flags);
-                } else {
-                    let mut wear = decoded.wear_blocks()[wear_base..].iter().copied();
-                    let mut dram = decoded.dram_blocks()[dram_base..].iter().copied();
-                    for i in range.clone() {
-                        engine.apply(decoded.event(i), &mut wear, &mut dram, tracker);
-                    }
+            let range = start..(start + REPLAY_CHUNK_EVENTS).min(tape.len());
+            simple_bank.apply_chunk(
+                &gaps[range.clone()],
+                &cores[range.clone()],
+                &flags[range.clone()],
+            );
+            for (slot, wear, dram) in &mut general {
+                let (engine, tracker) = &mut bank[*slot];
+                for i in range.clone() {
+                    engine.apply(tape.event(i), wear, dram, tracker);
                 }
             }
         }
@@ -851,7 +733,7 @@ impl System {
             .iter()
             .zip(bank)
             .map(|(system, (engine, tracker))| {
-                system.finalize(decoded.stats().clone(), engine, tracker)
+                system.finalize(tape.stats().clone(), engine, tracker)
             })
             .collect()
     }
@@ -909,7 +791,7 @@ impl System {
     fn functional_walk(
         &self,
         trace: &Trace,
-        mut consume: impl FnMut(EventRecord, &SideEvents),
+        mut consume: impl FnMut(TapeEvent, &SideEvents),
     ) -> SimStats {
         let cfg = &self.config;
         let mut cores: Vec<FnCore> = (0..cfg.cores)
@@ -1008,7 +890,7 @@ impl System {
             stats.accesses += 1;
             stats.instructions += u64::from(event.gap_instructions) + 1;
             sides.clear();
-            let mut rec = EventRecord::new(core_idx as u8, event.gap_instructions, is_write);
+            let mut rec = TapeEvent::new(core_idx as u8, event.gap_instructions, is_write);
 
             // --- L1D ----------------------------------------------------
             let l1_out = core.l1d.access(block, is_write);
@@ -1141,7 +1023,7 @@ impl System {
 
     /// Assembles a [`SimResult`] from the functional statistics and a
     /// finished timing engine — the shared tail of both [`System::run`]
-    /// and [`System::replay`].
+    /// and [`System::replay_batch`].
     fn finalize(
         &self,
         mut stats: SimStats,
@@ -1614,7 +1496,7 @@ mod tests {
                 .with_inclusive_llc(),
         )
         .with_warmup(0.25)
-        .with_replacement(Replacement::Random);
+        .with_replacement(PolicyKind::Random);
         let tape = system.record(&trace);
         assert_eq!(system.replay(&tape), system.run(&trace));
     }
@@ -1718,7 +1600,7 @@ mod tests {
         let batched = System::replay_batch(&refs, &tape);
         assert_eq!(batched.len(), systems.len());
         for (system, batched) in systems.iter().zip(&batched) {
-            assert_eq!(batched, &system.replay(&tape));
+            assert_eq!(batched, &system.run(&trace));
         }
     }
 
@@ -1805,7 +1687,7 @@ mod tests {
             // policy shapes the tape, not how it replays.
             let mut system = System::new(config)
                 .with_warmup(warmup)
-                .with_replacement(Replacement::ALL[repl_idx]);
+                .with_replacement(PolicyKind::ALL[repl_idx]);
             if endurance {
                 system = system.with_endurance_tracking(WearPolicy::None);
             }
@@ -1817,8 +1699,8 @@ mod tests {
         /// geometries, shared functional knobs, and an arbitrary subset
         /// of technologies whose timing knobs (write policy, MSHRs,
         /// detailed DRAM, differential writes, endurance tracking) all
-        /// differ per member, one lockstep pass over the decoded tape is
-        /// bit-identical to replaying each technology on its own.
+        /// differ per member, one pass over the tape is bit-identical to
+        /// each technology's own fused `System::run`.
         #[test]
         fn replay_batch_equals_per_technology_replay(
             seed in 0u64..1000,
@@ -1879,7 +1761,7 @@ mod tests {
                 // across the batch like the other tape-shaping flags.
                 let mut system = System::new(config)
                     .with_warmup(warmup)
-                    .with_replacement(Replacement::ALL[repl_idx]);
+                    .with_replacement(PolicyKind::ALL[repl_idx]);
                 if i % 3 == 1 {
                     system = system.with_endurance_tracking(WearPolicy::RotateXor { period: 500 });
                 }
@@ -1890,36 +1772,50 @@ mod tests {
             let batched = System::replay_batch(&refs, &tape);
             proptest::prop_assert_eq!(batched.len(), systems.len());
             for (system, batched) in systems.iter().zip(&batched) {
-                proptest::prop_assert_eq!(batched, &system.replay(&tape));
+                proptest::prop_assert_eq!(batched, &system.run(&trace));
             }
         }
 
-        /// Chunk-tail coverage for the batched kernels: the decoded
-        /// lanes are walked in [`crate::tape::REPLAY_CHUNK_EVENTS`]
-        /// blocks and the `SimpleBank` pads its engine set, so the
-        /// equivalence is pinned exactly at the boundaries — an empty
+        /// Chunk-tail coverage for the batched kernels: the tape lanes
+        /// are walked in [`crate::tape::REPLAY_CHUNK_EVENTS`] blocks and
+        /// the `SimpleBank` pads its engine set, so the equivalence with
+        /// the fused run is pinned exactly at the boundaries — an empty
         /// tape, a single event, one chunk ± one event, and a ragged
-        /// multi-chunk tail — across random technology subsets and
-        /// thread counts (multi-threaded traces route around the
-        /// single-core bank entirely). Warmup is zero so every access
-        /// is a replayed event and the counts land on the boundaries
-        /// exactly.
+        /// multi-chunk tail — across random technology subsets. The
+        /// trace's events are spread over `threads` threads in a
+        /// seed-dependent interleaving, so with 2–4 cores the tape's
+        /// core lane interleaves and the bank runs one pass per core.
+        /// Warmup is zero so every access is a replayed event and the
+        /// counts land on the boundaries exactly.
         #[test]
         fn replay_batch_matches_at_chunk_boundaries(
             seed in 0u64..1000,
             boundary_idx in 0usize..6,
             subset in 1u32..2048,
             threads in 1u8..5,
+            cores in 1u32..5,
         ) {
-            use nvm_llc_trace::{Suite, WorkloadProfile};
+            use nvm_llc_trace::{Suite, Trace, TraceEvent, WorkloadProfile};
             const CHUNK: usize = crate::tape::REPLAY_CHUNK_EVENTS;
             let n = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7][boundary_idx];
             let w = WorkloadProfile::builder("prop", Suite::Npb)
                 .footprint_blocks(1 << 12)
                 .read_fraction(0.7)
-                .threads(threads)
                 .build();
-            let trace = w.generate(seed, n);
+            let events: Vec<TraceEvent> = w
+                .generate(seed, n)
+                .events()
+                .iter()
+                .enumerate()
+                .map(|(i, event)| {
+                    let mix = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    TraceEvent {
+                        tid: ((mix >> 32) % u64::from(threads)) as u8,
+                        ..*event
+                    }
+                })
+                .collect();
+            let trace = Trace::new(events, threads);
             let models = reference::fixed_capacity();
             let mut systems = Vec::new();
             for (i, model) in models.iter().enumerate() {
@@ -1928,7 +1824,7 @@ mod tests {
                 }
                 // Alternate timing knobs so every tape drives both the
                 // banked simple kernel and the per-event fallback.
-                let mut config = ArchConfig::gainestown(model.clone());
+                let mut config = ArchConfig::gainestown(model.clone()).with_cores(cores);
                 if i % 3 == 1 {
                     config = config
                         .with_llc_write_policy(LlcWritePolicy::Blocking)
@@ -1944,7 +1840,7 @@ mod tests {
             let batched = System::replay_batch(&refs, &tape);
             proptest::prop_assert_eq!(batched.len(), systems.len());
             for (system, batched) in systems.iter().zip(&batched) {
-                proptest::prop_assert_eq!(batched, &system.replay(&tape));
+                proptest::prop_assert_eq!(batched, &system.run(&trace));
             }
         }
     }

@@ -10,32 +10,28 @@
 //! ten of the eleven functional simulations per workload are identical.
 //!
 //! [`System::record`](crate::system::System::record) runs that functional
-//! pass once and emits an [`OutcomeTape`]: one packed [`EventRecord`] per
-//! post-warmup trace event (a flat `Vec<u64>` — no per-event heap
-//! allocation) plus two compact side arrays of block addresses for the
-//! endurance tracker and the detailed-DRAM model.
-//! [`System::replay`](crate::system::System::replay) then applies a
-//! technology's cycle latencies, port contention, ROB/MSHR miss-shadow
-//! accounting, DRAM model, and energy equations (7)–(8) in a tight loop
-//! over the tape, producing a `SimResult` bit-identical to the fused
-//! single-pass [`System::run`](crate::system::System::run).
+//! pass once and emits an [`OutcomeTape`]: one [`TapeEvent`] per
+//! post-warmup trace event, stored as three parallel lanes (`u32` gap,
+//! `u8` core, `u8` flags), plus two varint/delta-compacted side streams
+//! of block addresses for the endurance tracker and the detailed-DRAM
+//! model. The recorded form is the only form: the replay kernels read
+//! the lanes directly, and persistence writes them verbatim.
+//! [`System::replay_batch`](crate::system::System::replay_batch) then
+//! applies any number of technologies' cycle latencies, port contention,
+//! ROB/MSHR miss-shadow accounting, DRAM models, and energy equations
+//! (7)–(8) in one pass over the lanes, producing `SimResult`s
+//! bit-identical to the fused single-pass
+//! [`System::run`](crate::system::System::run).
 //!
 //! [`cache`] memoizes tapes process-wide (exactly-once generation behind
 //! `Arc<OnceLock>`, the same discipline as `nvm_llc_trace::cache`), so an
 //! evaluation matrix performs one functional pass per distinct geometry
 //! and replays everything else. The cache is bounded by a byte budget
-//! with LRU eviction (default 256 MiB, [`cache::BUDGET_ENV`] override).
-//!
-//! For the matrix itself even the per-technology replays are redundant:
-//! eleven technologies decode the same packed records and the same
-//! varint-compressed side arrays eleven times. [`DecodedTape`] decodes a
-//! tape **once** into a cache-friendly struct-of-arrays form (gap /
-//! core / flag lanes plus prefix-summed side-stream cursors), and
-//! [`System::replay_batch`](crate::system::System::replay_batch) drives
-//! every technology's timing engine in lockstep over that single decoded
-//! stream.
+//! with LRU eviction (default 256 MiB, [`cache::BUDGET_ENV`] override);
+//! [`OutcomeTape::bytes`] counts every buffer a tape owns, so the budget
+//! bounds what the cache holds.
 
-use crate::cache::Replacement;
+use crate::policy::PolicyKind;
 use crate::result::SimStats;
 
 /// Which hierarchy level served a trace event.
@@ -52,7 +48,7 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    fn from_bits(bits: u64) -> Outcome {
+    fn from_bits(bits: u8) -> Outcome {
         match bits & 0b11 {
             0 => Outcome::L1Hit,
             1 => Outcome::L2Hit,
@@ -62,155 +58,26 @@ impl Outcome {
     }
 }
 
-/// One trace event's functional outcome, packed into a `u64`.
+/// One trace event's functional outcome: what
+/// [`System::record`](crate::system::System::record)'s functional walk
+/// emits, what an [`OutcomeTape`] stores lane by lane, and what the
+/// timing engine consumes.
 ///
-/// Layout (low to high): gap instructions (32 bits), core index (8),
-/// is-write (1), outcome class (2), then one bit per side-event flag.
 /// The flags fully determine how many entries the event consumes from
-/// the tape's endurance and DRAM side arrays, so replay needs no per-
-/// event indices into them — a running cursor suffices.
+/// the tape's endurance and DRAM side streams ([`TapeEvent::side_counts`]),
+/// so replay needs no per-event indices into them — a running cursor
+/// suffices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventRecord(u64);
-
-impl EventRecord {
-    const CORE_SHIFT: u32 = 32;
-    const IS_WRITE: u64 = 1 << 40;
-    const CLASS_SHIFT: u32 = 41;
-    const L1_WB_LLC_WRITE: u64 = 1 << 43;
-    const L2_WB_LLC_WRITE: u64 = 1 << 44;
-    const PF_EVICT_LLC_WRITE: u64 = 1 << 45;
-    const PF_LLC_FILL: u64 = 1 << 46;
-    const LLC_FILLED: u64 = 1 << 47;
-
-    /// Starts a record for an event on `core` after `gap` non-memory
-    /// instructions, defaulting to an L1 hit with no side events.
-    pub fn new(core: u8, gap: u32, is_write: bool) -> EventRecord {
-        let mut bits = u64::from(gap) | (u64::from(core) << Self::CORE_SHIFT);
-        if is_write {
-            bits |= Self::IS_WRITE;
-        }
-        EventRecord(bits)
-    }
-
-    /// Sets the outcome class (default [`Outcome::L1Hit`]).
-    pub fn with_outcome(mut self, outcome: Outcome) -> EventRecord {
-        self.0 |= (outcome as u64) << Self::CLASS_SHIFT;
-        self
-    }
-
-    /// Flags an LLC write from the L1 victim's L2-eviction cascade.
-    pub fn with_l1_writeback_llc_write(mut self) -> EventRecord {
-        self.0 |= Self::L1_WB_LLC_WRITE;
-        self
-    }
-
-    /// Flags an LLC write from the L2's own dirty victim.
-    pub fn with_l2_writeback_llc_write(mut self) -> EventRecord {
-        self.0 |= Self::L2_WB_LLC_WRITE;
-        self
-    }
-
-    /// Flags an LLC write from the prefetch fill's dirty L2 victim.
-    pub fn with_prefetch_evict_llc_write(mut self) -> EventRecord {
-        self.0 |= Self::PF_EVICT_LLC_WRITE;
-        self
-    }
-
-    /// Flags a prefetch fill that allocated in the LLC (one DRAM access).
-    pub fn with_prefetch_llc_fill(mut self) -> EventRecord {
-        self.0 |= Self::PF_LLC_FILL;
-        self
-    }
-
-    /// Flags a demand miss that allocated its block (not bypassed).
-    pub fn with_llc_filled(mut self) -> EventRecord {
-        self.0 |= Self::LLC_FILLED;
-        self
-    }
-
-    /// Non-memory instructions preceding the access.
-    pub fn gap_instructions(self) -> u32 {
-        self.0 as u32
-    }
-
-    /// Core (0-based) the event ran on.
-    pub fn core(self) -> usize {
-        (self.0 >> Self::CORE_SHIFT) as u8 as usize
-    }
-
-    /// Whether the access was a store.
-    pub fn is_write(self) -> bool {
-        self.0 & Self::IS_WRITE != 0
-    }
-
-    /// The serving level.
-    pub fn outcome(self) -> Outcome {
-        Outcome::from_bits(self.0 >> Self::CLASS_SHIFT)
-    }
-
-    /// LLC write from the L1 victim cascade?
-    pub fn l1_writeback_llc_write(self) -> bool {
-        self.0 & Self::L1_WB_LLC_WRITE != 0
-    }
-
-    /// LLC write from the L2 dirty victim?
-    pub fn l2_writeback_llc_write(self) -> bool {
-        self.0 & Self::L2_WB_LLC_WRITE != 0
-    }
-
-    /// LLC write from the prefetch fill's dirty L2 victim?
-    pub fn prefetch_evict_llc_write(self) -> bool {
-        self.0 & Self::PF_EVICT_LLC_WRITE != 0
-    }
-
-    /// Prefetch allocated in the LLC?
-    pub fn prefetch_llc_fill(self) -> bool {
-        self.0 & Self::PF_LLC_FILL != 0
-    }
-
-    /// Demand miss allocated its block?
-    pub fn llc_filled(self) -> bool {
-        self.0 & Self::LLC_FILLED != 0
-    }
-
-    /// The raw packed word (for serialization).
-    pub(crate) fn bits(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds a record from its raw packed word.
-    pub(crate) fn from_bits(bits: u64) -> EventRecord {
-        EventRecord(bits)
-    }
-
-    /// Unpacks the record into its flat-field form — the unit the timing
-    /// engine consumes. Bits 40–47 of the packed word are exactly the
-    /// eight flag bits of [`DecodedEvent`], in the same order.
-    pub fn decode(self) -> DecodedEvent {
-        DecodedEvent {
-            gap: self.0 as u32,
-            core: (self.0 >> Self::CORE_SHIFT) as u8,
-            flags: (self.0 >> 40) as u8,
-        }
-    }
-}
-
-/// One event in flat-field form: what a [`EventRecord`] packs, decoded.
-///
-/// `TimingEngine::apply` consumes these, so the fused run, the
-/// per-technology replay, and the batched replay all feed the timing
-/// engine the identical representation — the batched path just decodes
-/// each record once instead of once per technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodedEvent {
+pub struct TapeEvent {
     pub(crate) gap: u32,
     pub(crate) core: u8,
     /// Bit 0 is-write, bits 1–2 outcome class, bits 3–7 the side-event
-    /// flags in [`EventRecord`] order.
+    /// flags (L1-writeback LLC write, L2-writeback LLC write,
+    /// prefetch-evict LLC write, prefetch LLC fill, LLC filled).
     pub(crate) flags: u8,
 }
 
-impl DecodedEvent {
+impl TapeEvent {
     const IS_WRITE: u8 = 1;
     const CLASS_SHIFT: u32 = 1;
     const L1_WB_LLC_WRITE: u8 = 1 << 3;
@@ -218,6 +85,52 @@ impl DecodedEvent {
     const PF_EVICT_LLC_WRITE: u8 = 1 << 5;
     const PF_LLC_FILL: u8 = 1 << 6;
     const LLC_FILLED: u8 = 1 << 7;
+
+    /// Starts an event on `core` after `gap` non-memory instructions,
+    /// defaulting to an L1 hit with no side events.
+    pub fn new(core: u8, gap: u32, is_write: bool) -> TapeEvent {
+        TapeEvent {
+            gap,
+            core,
+            flags: if is_write { Self::IS_WRITE } else { 0 },
+        }
+    }
+
+    /// Sets the outcome class (default [`Outcome::L1Hit`]).
+    pub fn with_outcome(mut self, outcome: Outcome) -> TapeEvent {
+        self.flags |= (outcome as u8) << Self::CLASS_SHIFT;
+        self
+    }
+
+    /// Flags an LLC write from the L1 victim's L2-eviction cascade.
+    pub fn with_l1_writeback_llc_write(mut self) -> TapeEvent {
+        self.flags |= Self::L1_WB_LLC_WRITE;
+        self
+    }
+
+    /// Flags an LLC write from the L2's own dirty victim.
+    pub fn with_l2_writeback_llc_write(mut self) -> TapeEvent {
+        self.flags |= Self::L2_WB_LLC_WRITE;
+        self
+    }
+
+    /// Flags an LLC write from the prefetch fill's dirty L2 victim.
+    pub fn with_prefetch_evict_llc_write(mut self) -> TapeEvent {
+        self.flags |= Self::PF_EVICT_LLC_WRITE;
+        self
+    }
+
+    /// Flags a prefetch fill that allocated in the LLC (one DRAM access).
+    pub fn with_prefetch_llc_fill(mut self) -> TapeEvent {
+        self.flags |= Self::PF_LLC_FILL;
+        self
+    }
+
+    /// Flags a demand miss that allocated its block (not bypassed).
+    pub fn with_llc_filled(mut self) -> TapeEvent {
+        self.flags |= Self::LLC_FILLED;
+        self
+    }
 
     /// Non-memory instructions preceding the access.
     pub fn gap_instructions(self) -> u32 {
@@ -236,7 +149,7 @@ impl DecodedEvent {
 
     /// The serving level.
     pub fn outcome(self) -> Outcome {
-        Outcome::from_bits(u64::from(self.flags >> Self::CLASS_SHIFT))
+        Outcome::from_bits(self.flags >> Self::CLASS_SHIFT)
     }
 
     /// LLC write from the L1 victim cascade?
@@ -266,20 +179,19 @@ impl DecodedEvent {
 
     /// How many entries this event consumes from the endurance and DRAM
     /// side streams during replay. Mirrors `TimingEngine::apply`'s
-    /// early-out structure; the batched replay walks its running side
-    /// cursors with it, and [`DecodedTape::decode`] uses it to validate
-    /// that the flat side arrays partition exactly across the events.
-    pub(crate) fn side_counts(self) -> (u32, u32) {
+    /// early-out structure; [`OutcomeTape::from_parts`] uses it to check
+    /// that the side streams partition exactly across the events.
+    pub(crate) fn side_counts(self) -> (usize, usize) {
         let outcome = self.outcome();
         if outcome == Outcome::L1Hit {
             return (0, 0);
         }
-        let mut wear = u32::from(self.l1_writeback_llc_write());
+        let mut wear = usize::from(self.l1_writeback_llc_write());
         if outcome == Outcome::L2Hit {
             return (wear, 0);
         }
-        wear += u32::from(self.l2_writeback_llc_write());
-        wear += u32::from(self.prefetch_evict_llc_write());
+        wear += usize::from(self.l2_writeback_llc_write());
+        wear += usize::from(self.prefetch_evict_llc_write());
         let mut dram = 0;
         if self.prefetch_llc_fill() {
             wear += 1;
@@ -288,7 +200,7 @@ impl DecodedEvent {
         if outcome == Outcome::LlcHit {
             return (wear, dram);
         }
-        wear += u32::from(self.llc_filled());
+        wear += usize::from(self.llc_filled());
         (wear, dram + 1)
     }
 }
@@ -348,6 +260,9 @@ pub struct PackedBlocks {
 }
 
 impl PackedBlocks {
+    /// Longest LEB128 encoding of a `u64`: ⌈64 / 7⌉ bytes.
+    const MAX_VARINT_BYTES: usize = 10;
+
     pub(crate) fn push(&mut self, block: u64) {
         let delta = block.wrapping_sub(self.last) as i64;
         self.last = block;
@@ -395,9 +310,24 @@ impl PackedBlocks {
         (&self.bytes, self.len, self.last)
     }
 
-    /// Rebuilds a stream from [`PackedBlocks::parts`] output.
-    pub(crate) fn from_parts(bytes: Vec<u8>, len: usize, last: u64) -> PackedBlocks {
-        PackedBlocks { bytes, len, last }
+    /// Rebuilds a stream from [`PackedBlocks::parts`] output, or `None`
+    /// unless `bytes` holds exactly `len` well-formed varints: each at
+    /// most [`Self::MAX_VARINT_BYTES`] long, the last one ending the
+    /// buffer. [`BlockIter`] can then never read past the end or shift
+    /// past 64 bits.
+    pub(crate) fn from_parts(bytes: Vec<u8>, len: usize, last: u64) -> Option<PackedBlocks> {
+        let (mut varints, mut run) = (0usize, 0usize);
+        for &byte in &bytes {
+            run += 1;
+            if run > Self::MAX_VARINT_BYTES {
+                return None;
+            }
+            if byte & 0x80 == 0 {
+                varints += 1;
+                run = 0;
+            }
+        }
+        (run == 0 && varints == len).then_some(PackedBlocks { bytes, len, last })
     }
 
     /// Bytes a flat `Vec<u64>` of the same stream would hold.
@@ -446,12 +376,29 @@ impl Iterator for BlockIter<'_> {
 
 impl ExactSizeIterator for BlockIter<'_> {}
 
+/// Events per replay chunk: the batched replay walks the tape's lanes in
+/// fixed-size blocks of this many events (see
+/// [`System::replay_batch`](crate::system::System::replay_batch)). At
+/// 1024 events a chunk's lanes (`u32` gap + core + flag) total 6 KiB —
+/// comfortably inside one L1 data cache while every engine streams over
+/// it.
+pub const REPLAY_CHUNK_EVENTS: usize = 1024;
+
 /// The recorded functional outcome of one `(trace, geometry)` pair —
 /// everything Phase B (timing/energy replay) needs, and nothing else.
-#[derive(Debug, Clone, Default)]
+///
+/// Events live in three parallel lanes indexed by event (gap, core,
+/// flags — the fields of [`TapeEvent`]), which is exactly the form the
+/// replay kernels stream and the form persistence writes. Every event
+/// indexes a core below [`OutcomeTape::cores`], and the per-event side
+/// counts sum to the side streams' lengths: recording guarantees both,
+/// and [`OutcomeTape::from_parts`] checks them on anything rebuilt from
+/// bytes.
+#[derive(Debug, Clone)]
 pub struct OutcomeTape {
-    /// One packed record per post-warmup trace event, in trace order.
-    records: Vec<EventRecord>,
+    gap_lane: Vec<u32>,
+    core_lane: Vec<u8>,
+    flag_lane: Vec<u8>,
     /// LLC array-write block addresses (endurance stream), in order,
     /// varint/delta-compacted.
     endurance_blocks: PackedBlocks,
@@ -462,30 +409,32 @@ pub struct OutcomeTape {
     stats: SimStats,
     /// Core count the tape was recorded for (replay must match).
     cores: u32,
-    /// Memoized flat decode, built on first batched replay and shared by
-    /// every later one of the same (cached) tape. Lives and dies with
-    /// the tape, so cache eviction frees both forms together.
-    decoded: std::sync::OnceLock<DecodedTape>,
+    /// Whether every event ran on core 0. A single-threaded workload
+    /// under a multi-core config exercises only timing lane 0, so the
+    /// fast replay kernel runs one unfiltered pass instead of one pass
+    /// per core.
+    single_core: bool,
 }
 
 impl OutcomeTape {
     pub(crate) fn with_capacity(events: usize, cores: u32) -> OutcomeTape {
         OutcomeTape {
-            records: Vec::with_capacity(events),
+            gap_lane: Vec::with_capacity(events),
+            core_lane: Vec::with_capacity(events),
+            flag_lane: Vec::with_capacity(events),
             endurance_blocks: PackedBlocks::default(),
             dram_blocks: PackedBlocks::default(),
             stats: SimStats::default(),
             cores,
-            decoded: std::sync::OnceLock::new(),
+            single_core: true,
         }
     }
 
-    pub(crate) fn push(&mut self, record: EventRecord, sides: &SideEvents) {
-        debug_assert!(
-            self.decoded.get().is_none(),
-            "tapes are frozen once decoded"
-        );
-        self.records.push(record);
+    pub(crate) fn push(&mut self, event: TapeEvent, sides: &SideEvents) {
+        self.gap_lane.push(event.gap);
+        self.core_lane.push(event.core);
+        self.flag_lane.push(event.flags);
+        self.single_core &= event.core == 0;
         for &block in sides.endurance() {
             self.endurance_blocks.push(block);
         }
@@ -498,23 +447,55 @@ impl OutcomeTape {
         self.stats = stats;
     }
 
-    /// Rebuilds a tape from deserialized parts (`crate::persist`). The
-    /// decoded form starts empty, exactly as after recording.
+    /// Rebuilds a tape from deserialized parts (`crate::persist`), or
+    /// `None` unless the parts are consistent the way a recorded tape is:
+    /// the three lanes have one length, every core index is below
+    /// `cores`, and the events' side counts sum exactly to each side
+    /// stream's length. Replay then never indexes a missing timing lane
+    /// or runs a side cursor dry.
     pub(crate) fn from_parts(
-        records: Vec<EventRecord>,
+        (gap_lane, core_lane, flag_lane): (Vec<u32>, Vec<u8>, Vec<u8>),
         endurance_blocks: PackedBlocks,
         dram_blocks: PackedBlocks,
         stats: SimStats,
         cores: u32,
-    ) -> OutcomeTape {
-        OutcomeTape {
-            records,
+    ) -> Option<OutcomeTape> {
+        let n = gap_lane.len();
+        if core_lane.len() != n || flag_lane.len() != n {
+            return None;
+        }
+        if core_lane.iter().any(|&core| u32::from(core) >= cores) {
+            return None;
+        }
+        let (wear, dram) = flag_lane.iter().fold((0, 0), |(wear, dram), &flags| {
+            let (w, d) = TapeEvent {
+                gap: 0,
+                core: 0,
+                flags,
+            }
+            .side_counts();
+            (wear + w, dram + d)
+        });
+        if wear != endurance_blocks.len() || dram != dram_blocks.len() {
+            return None;
+        }
+        let single_core = core_lane.iter().all(|&core| core == 0);
+        Some(OutcomeTape {
+            gap_lane,
+            core_lane,
+            flag_lane,
             endurance_blocks,
             dram_blocks,
             stats,
             cores,
-            decoded: std::sync::OnceLock::new(),
-        }
+            single_core,
+        })
+    }
+
+    /// The event lanes (gap, core, flags), for the replay kernels and
+    /// serialization by [`crate::persist`].
+    pub(crate) fn lanes(&self) -> (&[u32], &[u8], &[u8]) {
+        (&self.gap_lane, &self.core_lane, &self.flag_lane)
     }
 
     /// The raw packed side streams (endurance, DRAM), for serialization
@@ -523,19 +504,27 @@ impl OutcomeTape {
         (&self.endurance_blocks, &self.dram_blocks)
     }
 
-    /// The flat decode of this tape, built on first use ([`DecodedTape`])
-    /// and memoized: a warm batched matrix replays a cached tape many
-    /// times but unpacks it exactly once.
-    pub fn decoded(&self) -> &DecodedTape {
-        self.decoded.get_or_init(|| {
-            let _span = nvm_llc_obs::span!("tape_decode");
-            DecodedTape::decode(self)
-        })
+    /// The tape itself. The recorded lanes are already the form replay
+    /// reads, so there is nothing to decode; this accessor exists only
+    /// because the `llcbench` benchmark calls it.
+    #[doc(hidden)]
+    pub fn decoded(&self) -> &Self {
+        self
     }
 
-    /// Per-event records.
-    pub fn records(&self) -> &[EventRecord] {
-        &self.records
+    /// Event `i`, reassembled from its lanes.
+    pub(crate) fn event(&self, i: usize) -> TapeEvent {
+        TapeEvent {
+            gap: self.gap_lane[i],
+            core: self.core_lane[i],
+            flags: self.flag_lane[i],
+        }
+    }
+
+    /// Every event, in trace order.
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> impl ExactSizeIterator<Item = TapeEvent> + '_ {
+        (0..self.len()).map(|i| self.event(i))
     }
 
     /// The endurance stream (LLC array writes, block addresses), decoded
@@ -560,118 +549,9 @@ impl OutcomeTape {
         self.cores
     }
 
-    /// Post-warmup events on the tape.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the tape holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Approximate heap footprint in bytes (capacity-based), with the
-    /// side streams at their encoded size.
-    pub fn bytes(&self) -> usize {
-        self.records.capacity() * std::mem::size_of::<EventRecord>()
-            + self.endurance_blocks.encoded_bytes()
-            + self.dram_blocks.encoded_bytes()
-    }
-
-    /// What the same tape would occupy with flat `u64` side arrays — the
-    /// pre-compaction footprint the cache stats report against.
-    pub fn raw_bytes(&self) -> usize {
-        self.records.len() * std::mem::size_of::<EventRecord>()
-            + self.endurance_blocks.raw_bytes()
-            + self.dram_blocks.raw_bytes()
-    }
-}
-
-/// Events per replay chunk: the batched replay processes the decoded
-/// lanes in fixed-size blocks of this many events (see
-/// [`System::replay_batch`](crate::system::System::replay_batch)). At
-/// 1024 events a chunk's hot lanes (`f64` gap + `u32` gap + flag + core)
-/// total ~14 KiB — comfortably inside one L1 data cache while every
-/// engine in the bank streams over it.
-pub const REPLAY_CHUNK_EVENTS: usize = 1024;
-
-/// Flat decode of an [`OutcomeTape`] in structure-of-arrays form: every
-/// record unpacked once into parallel per-field lanes, and the varint
-/// side streams decoded back to flat `u64` block arrays.
-///
-/// Built once per technology *group* by
-/// [`System::replay_batch`](crate::system::System::replay_batch): the
-/// record unpacking and varint decoding that a per-technology replay
-/// repeats for every configuration happen a single time, and each timing
-/// engine then streams the same pre-decoded lanes — event `i` consumes
-/// side entries in exactly the order `TimingEngine::apply` emits them.
-///
-/// The lanes are parallel arrays indexed by event: `gap_lane` (non-memory
-/// instructions), `gap_f64_lane` (the same gaps pre-converted to `f64`,
-/// hoisting the int→float conversion the timing math would otherwise
-/// repeat per technology — `u32 → f64` is exact, so the replay arithmetic
-/// is bit-identical), `core_lane`, and `flag_lane` (the packed
-/// [`DecodedEvent`] flag byte). `chunk_bases` records the side-stream
-/// cursor positions at every [`REPLAY_CHUNK_EVENTS`] boundary so a
-/// chunked replay can start any chunk without rewalking the prefix.
-#[derive(Debug, Clone, Default)]
-pub struct DecodedTape {
-    gap_lane: Vec<u32>,
-    gap_f64_lane: Vec<f64>,
-    core_lane: Vec<u8>,
-    flag_lane: Vec<u8>,
-    wear_blocks: Vec<u64>,
-    dram_blocks: Vec<u64>,
-    /// `(wear, dram)` side-stream offsets at the start of each chunk,
-    /// with one trailing entry holding the stream totals.
-    chunk_bases: Vec<(usize, usize)>,
-    stats: SimStats,
-    cores: u32,
-    /// Whether every event ran on core 0. A single-threaded workload
-    /// under a multi-core config exercises only timing lane 0, so a
-    /// replay may treat the engines as single-lane (the batched bank
-    /// kernel depends on this).
-    single_core: bool,
-}
-
-impl DecodedTape {
-    /// Decodes `tape` once into flat-lane form.
-    pub fn decode(tape: &OutcomeTape) -> DecodedTape {
-        let n = tape.len();
-        let mut decoded = DecodedTape {
-            gap_lane: Vec::with_capacity(n),
-            gap_f64_lane: Vec::with_capacity(n),
-            core_lane: Vec::with_capacity(n),
-            flag_lane: Vec::with_capacity(n),
-            wear_blocks: tape.endurance_blocks().collect(),
-            dram_blocks: tape.dram_blocks().collect(),
-            chunk_bases: Vec::with_capacity(n.div_ceil(REPLAY_CHUNK_EVENTS) + 1),
-            stats: tape.stats().clone(),
-            cores: tape.cores(),
-            single_core: true,
-        };
-        let (mut wear_pos, mut dram_pos) = (0usize, 0usize);
-        for (i, rec) in tape.records().iter().enumerate() {
-            let ev = rec.decode();
-            if i % REPLAY_CHUNK_EVENTS == 0 {
-                decoded.chunk_bases.push((wear_pos, dram_pos));
-            }
-            let (wear_n, dram_n) = ev.side_counts();
-            wear_pos += wear_n as usize;
-            dram_pos += dram_n as usize;
-            decoded.gap_lane.push(ev.gap);
-            decoded.gap_f64_lane.push(f64::from(ev.gap));
-            decoded.core_lane.push(ev.core);
-            decoded.flag_lane.push(ev.flags);
-            decoded.single_core &= ev.core == 0;
-        }
-        decoded.chunk_bases.push((wear_pos, dram_pos));
-        // Every side entry is claimed by exactly one event: the per-event
-        // counts (mirroring `apply`'s early-outs) must sum to the stream
-        // lengths, or replay cursors would drift between technologies.
-        debug_assert_eq!(wear_pos, decoded.wear_blocks.len());
-        debug_assert_eq!(dram_pos, decoded.dram_blocks.len());
-        decoded
+    /// Whether every event ran on core 0 (single-threaded workload).
+    pub(crate) fn is_single_core(&self) -> bool {
+        self.single_core
     }
 
     /// Post-warmup events on the tape.
@@ -684,77 +564,23 @@ impl DecodedTape {
         self.gap_lane.is_empty()
     }
 
-    /// Core count the tape encodes.
-    pub fn cores(&self) -> u32 {
-        self.cores
+    /// Heap bytes of every buffer the tape owns (capacity-based): the
+    /// three event lanes and both side streams at their encoded size.
+    /// This is what the tape cache charges against its budget.
+    pub fn bytes(&self) -> usize {
+        self.gap_lane.capacity() * std::mem::size_of::<u32>()
+            + self.core_lane.capacity()
+            + self.flag_lane.capacity()
+            + self.endurance_blocks.encoded_bytes()
+            + self.dram_blocks.encoded_bytes()
     }
 
-    /// Whether every event ran on core 0 (single-threaded workload): a
-    /// replay then touches only timing lane 0 of each engine.
-    pub(crate) fn is_single_core(&self) -> bool {
-        self.single_core
-    }
-
-    /// The functional statistics of the recorded run.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// Event `i` reassembled into its flat-field form.
-    pub(crate) fn event(&self, i: usize) -> DecodedEvent {
-        DecodedEvent {
-            gap: self.gap_lane[i],
-            core: self.core_lane[i],
-            flags: self.flag_lane[i],
-        }
-    }
-
-    /// Number of replay chunks ([`REPLAY_CHUNK_EVENTS`] events each, the
-    /// last possibly partial).
-    pub(crate) fn num_chunks(&self) -> usize {
-        self.gap_lane.len().div_ceil(REPLAY_CHUNK_EVENTS)
-    }
-
-    /// The event index range of chunk `chunk`.
-    pub(crate) fn chunk_range(&self, chunk: usize) -> std::ops::Range<usize> {
-        let lo = chunk * REPLAY_CHUNK_EVENTS;
-        lo..(lo + REPLAY_CHUNK_EVENTS).min(self.gap_lane.len())
-    }
-
-    /// The `(wear, dram)` side-stream offsets at the start of `chunk`.
-    pub(crate) fn chunk_side_base(&self, chunk: usize) -> (usize, usize) {
-        self.chunk_bases[chunk]
-    }
-
-    /// The instruction-gap lane (`u32`), indexed by event.
-    pub(crate) fn gap_lane(&self) -> &[u32] {
-        &self.gap_lane
-    }
-
-    /// The instruction-gap lane pre-converted to `f64`, indexed by event.
-    pub(crate) fn gap_f64_lane(&self) -> &[f64] {
-        &self.gap_f64_lane
-    }
-
-    /// The core lane, indexed by event.
-    pub(crate) fn core_lane(&self) -> &[u8] {
-        &self.core_lane
-    }
-
-    /// The packed flag lane ([`DecodedEvent`] flag byte), indexed by
-    /// event.
-    pub(crate) fn flag_lane(&self) -> &[u8] {
-        &self.flag_lane
-    }
-
-    /// The endurance side stream, flat.
-    pub(crate) fn wear_blocks(&self) -> &[u64] {
-        &self.wear_blocks
-    }
-
-    /// The DRAM side stream, flat.
-    pub(crate) fn dram_blocks(&self) -> &[u64] {
-        &self.dram_blocks
+    /// What the same tape would occupy with flat `u64` side arrays — the
+    /// pre-compaction footprint the cache stats report against.
+    pub fn raw_bytes(&self) -> usize {
+        self.len() * (std::mem::size_of::<u32>() + 2)
+            + self.endurance_blocks.raw_bytes()
+            + self.dram_blocks.raw_bytes()
     }
 }
 
@@ -777,7 +603,7 @@ pub struct TapeKey {
     l1d: (u64, u32, u32),
     l2: (u64, u32, u32),
     llc_capacity_bytes: u64,
-    replacement: Replacement,
+    replacement: PolicyKind,
     /// `f64::to_bits` of the warmup fraction (bit-exact key).
     warmup_bits: u64,
     inclusive_llc: bool,
@@ -794,7 +620,7 @@ impl TapeKey {
         l1d: (u64, u32, u32),
         l2: (u64, u32, u32),
         llc_capacity_bytes: u64,
-        replacement: Replacement,
+        replacement: PolicyKind,
         warmup_fraction: f64,
         inclusive_llc: bool,
         l2_prefetch: bool,
@@ -1004,21 +830,13 @@ pub mod cache {
                     "Wall time of the `tape_record` span.",
                 ),
                 (
-                    "nvmllc_tape_replay_seconds",
-                    "Wall time of the `tape_replay` span.",
-                ),
-                (
                     "nvmllc_tape_replay_batch_seconds",
                     "Wall time of the `tape_replay_batch` span.",
                 ),
                 (
                     "nvmllc_tape_replay_chunk_seconds",
                     "Wall time of one batched-replay event chunk (all \
-                     engines over one block of decoded lanes).",
-                ),
-                (
-                    "nvmllc_tape_decode_seconds",
-                    "Wall time of the `tape_decode` span.",
+                     engines over one block of tape lanes).",
                 ),
             ] {
                 nvm_llc_obs::metrics::histogram(name, help);
@@ -1081,8 +899,9 @@ pub mod cache {
     /// tries to decode the tape from `store` (content-addressed by
     /// [`crate::persist::tape_store_key`]) and only records when the
     /// disk also misses; freshly recorded tapes are written back. Any
-    /// store read failure — absent, corrupt, stale format — silently
-    /// falls through to recompute.
+    /// store read failure — absent, corrupt, inconsistent, stale format,
+    /// or recorded for another core count — silently falls through to
+    /// recompute.
     pub fn fetch_with_store(
         system: &System,
         trace: &Arc<Trace>,
@@ -1126,9 +945,12 @@ pub mod cache {
         let tape = Arc::clone(slot.get_or_init(|| {
             if let Some(store) = store {
                 let store_key = crate::persist::tape_store_key(&key);
+                // A payload for another core count cannot be this key's
+                // tape, and replay would reject it.
                 if let Some(tape) = store
                     .get_mapped(&store_key)
                     .and_then(|payload| crate::persist::decode_tape(&payload))
+                    .filter(|tape| tape.cores() == system.config().cores)
                 {
                     STORE_HITS.fetch_add(1, Ordering::Relaxed);
                     metrics::store_hits().inc();
@@ -1235,7 +1057,7 @@ mod tests {
 
     #[test]
     fn record_round_trips_every_field() {
-        let r = EventRecord::new(3, 0xDEAD_BEEF, true)
+        let r = TapeEvent::new(3, 0xDEAD_BEEF, true)
             .with_outcome(Outcome::LlcMiss)
             .with_l1_writeback_llc_write()
             .with_l2_writeback_llc_write()
@@ -1269,7 +1091,7 @@ mod tests {
 
     #[test]
     fn default_record_is_a_flagless_l1_hit() {
-        let r = EventRecord::new(0, 7, false);
+        let r = TapeEvent::new(0, 7, false);
         assert_eq!(r.outcome(), Outcome::L1Hit);
         assert!(!r.is_write());
         assert!(!r.l1_writeback_llc_write());
@@ -1288,7 +1110,7 @@ mod tests {
             Outcome::LlcHit,
             Outcome::LlcMiss,
         ] {
-            assert_eq!(EventRecord::new(0, 0, false).with_outcome(o).outcome(), o);
+            assert_eq!(TapeEvent::new(0, 0, false).with_outcome(o).outcome(), o);
         }
     }
 
@@ -1311,43 +1133,22 @@ mod tests {
         let mut s = SideEvents::default();
         s.push_endurance(1);
         s.push_dram(2);
-        tape.push(EventRecord::new(0, 0, false), &s);
+        tape.push(TapeEvent::new(0, 0, false), &s);
+        assert!(tape.is_single_core());
         s.clear();
-        tape.push(EventRecord::new(1, 5, true), &s);
+        tape.push(TapeEvent::new(1, 5, true), &s);
+        assert!(!tape.is_single_core());
         assert_eq!(tape.len(), 2);
         assert!(!tape.is_empty());
         assert_eq!(tape.endurance_blocks().collect::<Vec<_>>(), vec![1]);
         assert_eq!(tape.dram_blocks().collect::<Vec<_>>(), vec![2]);
         assert_eq!(tape.cores(), 4);
-        assert!(tape.bytes() >= 2 * 8);
-        assert_eq!(tape.raw_bytes(), 2 * 8 + 2 * 8);
-    }
-
-    #[test]
-    fn decode_round_trips_every_record_field() {
-        let records = [
-            EventRecord::new(0, 7, false),
-            EventRecord::new(3, 0xDEAD_BEEF, true)
-                .with_outcome(Outcome::LlcMiss)
-                .with_l1_writeback_llc_write()
-                .with_l2_writeback_llc_write()
-                .with_prefetch_evict_llc_write()
-                .with_prefetch_llc_fill()
-                .with_llc_filled(),
-            EventRecord::new(255, u32::MAX, true).with_outcome(Outcome::L2Hit),
-        ];
-        for r in records {
-            let ev = r.decode();
-            assert_eq!(ev.gap_instructions(), r.gap_instructions());
-            assert_eq!(ev.core(), r.core());
-            assert_eq!(ev.is_write(), r.is_write());
-            assert_eq!(ev.outcome(), r.outcome());
-            assert_eq!(ev.l1_writeback_llc_write(), r.l1_writeback_llc_write());
-            assert_eq!(ev.l2_writeback_llc_write(), r.l2_writeback_llc_write());
-            assert_eq!(ev.prefetch_evict_llc_write(), r.prefetch_evict_llc_write());
-            assert_eq!(ev.prefetch_llc_fill(), r.prefetch_llc_fill());
-            assert_eq!(ev.llc_filled(), r.llc_filled());
-        }
+        // Lanes: 4 + 1 + 1 bytes per event, plus both streams' buffers.
+        assert_eq!(
+            tape.bytes(),
+            2 * 6 + tape.endurance_blocks.encoded_bytes() + tape.dram_blocks.encoded_bytes()
+        );
+        assert_eq!(tape.raw_bytes(), 2 * 6 + 2 * 8);
     }
 
     #[test]
@@ -1367,7 +1168,30 @@ mod tests {
             assert_eq!(packed.len(), seq.len());
             assert_eq!(packed.iter().collect::<Vec<_>>(), seq);
             assert_eq!(packed.iter().len(), seq.len());
+            // The validating rebuild accepts every well-formed stream.
+            let (bytes, len, last) = packed.parts();
+            let rebuilt = PackedBlocks::from_parts(bytes.to_vec(), len, last).unwrap();
+            assert_eq!(rebuilt.iter().collect::<Vec<_>>(), seq);
         }
+    }
+
+    #[test]
+    fn packed_blocks_reject_inconsistent_parts() {
+        let mut packed = PackedBlocks::default();
+        for b in [u64::MAX, 3, 1 << 40] {
+            packed.push(b);
+        }
+        let (bytes, len, last) = packed.parts();
+        // A count the bytes do not hold, in either direction.
+        assert!(PackedBlocks::from_parts(bytes.to_vec(), len + 1, last).is_none());
+        assert!(PackedBlocks::from_parts(bytes.to_vec(), len - 1, last).is_none());
+        // A stream cut mid-varint.
+        let mut cut = bytes.to_vec();
+        cut.pop();
+        assert!(PackedBlocks::from_parts(cut, len, last).is_none());
+        // A varint longer than any u64 needs.
+        assert!(PackedBlocks::from_parts([vec![0x80; 10], vec![0]].concat(), 1, 0).is_none());
+        assert!(PackedBlocks::from_parts([vec![0x80; 9], vec![1]].concat(), 1, 0).is_some());
     }
 
     #[test]
@@ -1382,60 +1206,91 @@ mod tests {
         assert_eq!(packed.iter().count(), 10_000);
     }
 
-    #[test]
-    fn decoded_tape_mirrors_records_and_side_streams() {
+    /// A three-event tape: an L1 hit, an L2 hit with an L1-writeback LLC
+    /// write, and a filled LLC miss — side counts (0, 0), (1, 0), (1, 1).
+    fn three_event_tape() -> OutcomeTape {
         let mut tape = OutcomeTape::with_capacity(3, 2);
         let mut s = SideEvents::default();
-        // L1 hit: no sides.
-        tape.push(EventRecord::new(0, 3, false), &s);
-        // L2 hit with an L1-writeback LLC write: one endurance entry.
+        tape.push(TapeEvent::new(0, 3, false), &s);
         s.push_endurance(10);
         tape.push(
-            EventRecord::new(1, 0, true)
+            TapeEvent::new(1, 0, true)
                 .with_outcome(Outcome::L2Hit)
                 .with_l1_writeback_llc_write(),
             &s,
         );
-        // Filled LLC miss: one endurance entry, one DRAM entry.
         s.clear();
         s.push_endurance(99);
         s.push_dram(99);
         tape.push(
-            EventRecord::new(0, 5, false)
+            TapeEvent::new(0, 5, false)
                 .with_outcome(Outcome::LlcMiss)
                 .with_llc_filled(),
             &s,
         );
+        tape
+    }
 
-        let decoded = DecodedTape::decode(&tape);
-        assert_eq!(decoded.len(), 3);
-        assert_eq!(decoded.cores(), 2);
-        for (i, &rec) in tape.records().iter().enumerate() {
-            assert_eq!(decoded.event(i), rec.decode());
+    #[test]
+    fn tape_lanes_mirror_events_and_side_streams() {
+        let tape = three_event_tape();
+        assert_eq!(tape.len(), 3);
+        assert_eq!(tape.cores(), 2);
+        // The lanes are parallel views of the same events.
+        let (gaps, cores, flags) = tape.lanes();
+        for (i, event) in tape.events().enumerate() {
+            assert_eq!(gaps[i], event.gap);
+            assert_eq!(cores[i], event.core);
+            assert_eq!(flags[i], event.flags);
         }
-        // The lanes are parallel views of the same events, with the gap
-        // pre-converted exactly to f64.
-        for i in 0..decoded.len() {
-            let ev = decoded.event(i);
-            assert_eq!(decoded.gap_lane()[i], ev.gap);
-            assert_eq!(decoded.gap_f64_lane()[i], f64::from(ev.gap));
-            assert_eq!(decoded.core_lane()[i], ev.core);
-            assert_eq!(decoded.flag_lane()[i], ev.flags);
-        }
-        // The flat side arrays carry the streams in emission order, and
-        // the per-event counts partition them: (0, 0) + (1, 0) + (1, 1).
-        assert_eq!(decoded.wear_blocks(), &[10, 99]);
-        assert_eq!(decoded.dram_blocks(), &[99]);
-        let counts: Vec<_> = (0..decoded.len())
-            .map(|i| decoded.event(i).side_counts())
-            .collect();
+        assert_eq!(gaps, &[3, 0, 5]);
+        assert_eq!(cores, &[0, 1, 0]);
+        // The side streams carry the blocks in emission order, and the
+        // per-event counts partition them.
+        assert_eq!(tape.endurance_blocks().collect::<Vec<_>>(), vec![10, 99]);
+        assert_eq!(tape.dram_blocks().collect::<Vec<_>>(), vec![99]);
+        let counts: Vec<_> = tape.events().map(TapeEvent::side_counts).collect();
         assert_eq!(counts, vec![(0, 0), (1, 0), (1, 1)]);
-        // A three-event tape is one (partial) chunk; its base offsets
-        // start at zero and the trailing entry holds the stream totals.
-        assert_eq!(decoded.num_chunks(), 1);
-        assert_eq!(decoded.chunk_range(0), 0..3);
-        assert_eq!(decoded.chunk_side_base(0), (0, 0));
-        assert_eq!(decoded.chunk_bases.last(), Some(&(2, 1)));
+        // The tape is its own replay form.
+        assert!(std::ptr::eq(tape.decoded(), &tape));
+    }
+
+    #[test]
+    fn from_parts_accepts_recorded_tapes_and_rejects_inconsistent_ones() {
+        let tape = three_event_tape();
+        let parts = |tape: &OutcomeTape| {
+            let (gaps, cores, flags) = tape.lanes();
+            (gaps.to_vec(), cores.to_vec(), flags.to_vec())
+        };
+        let rebuild = |lanes, cores| {
+            let (endurance, dram) = tape.packed_streams();
+            OutcomeTape::from_parts(
+                lanes,
+                endurance.clone(),
+                dram.clone(),
+                tape.stats().clone(),
+                cores,
+            )
+        };
+        let rebuilt = rebuild(parts(&tape), 2).unwrap();
+        assert!(rebuilt.events().eq(tape.events()));
+        assert!(!rebuilt.is_single_core());
+        // Lanes of different lengths.
+        let (gaps, cores, mut flags) = parts(&tape);
+        flags.pop();
+        assert!(rebuild((gaps, cores, flags), 2).is_none());
+        // A core index at or above the core count.
+        assert!(rebuild(parts(&tape), 1).is_none());
+        // Flags claiming more side entries than the streams hold.
+        let (gaps, cores, mut flags) = parts(&tape);
+        flags[0] = TapeEvent::new(0, 0, false)
+            .with_outcome(Outcome::LlcMiss)
+            .flags;
+        assert!(rebuild((gaps, cores, flags), 2).is_none());
+        // Flags claiming fewer.
+        let (gaps, cores, mut flags) = parts(&tape);
+        flags[2] = TapeEvent::new(0, 0, false).flags;
+        assert!(rebuild((gaps, cores, flags), 2).is_none());
     }
 
     #[test]
@@ -1448,7 +1303,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Lru,
+                PolicyKind::Lru,
                 0.25,
                 false,
                 false,
@@ -1464,7 +1319,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Lru,
+                PolicyKind::Lru,
                 0.25,
                 false,
                 false,
@@ -1477,7 +1332,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Lru,
+                PolicyKind::Lru,
                 0.25,
                 false,
                 false,
@@ -1490,7 +1345,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 4 << 20,
-                Replacement::Lru,
+                PolicyKind::Lru,
                 0.25,
                 false,
                 false,
@@ -1503,7 +1358,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Random,
+                PolicyKind::Random,
                 0.25,
                 false,
                 false,
@@ -1516,7 +1371,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Srrip,
+                PolicyKind::Srrip,
                 0.25,
                 false,
                 false,
@@ -1529,7 +1384,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Drrip,
+                PolicyKind::Drrip,
                 0.25,
                 false,
                 false,
@@ -1542,7 +1397,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Ship,
+                PolicyKind::Ship,
                 0.25,
                 false,
                 false,
@@ -1555,7 +1410,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Endurance,
+                PolicyKind::Endurance,
                 0.25,
                 false,
                 false,
@@ -1568,7 +1423,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Lru,
+                PolicyKind::Lru,
                 0.0,
                 false,
                 false,
@@ -1581,7 +1436,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Lru,
+                PolicyKind::Lru,
                 0.25,
                 true,
                 false,
@@ -1594,7 +1449,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Lru,
+                PolicyKind::Lru,
                 0.25,
                 false,
                 true,
@@ -1607,7 +1462,7 @@ mod tests {
                 (32768, 8, 64),
                 (262144, 8, 64),
                 2 << 20,
-                Replacement::Lru,
+                PolicyKind::Lru,
                 0.25,
                 false,
                 false,

@@ -79,6 +79,16 @@ impl Writer {
         self
     }
 
+    /// Appends a `u64`-count-prefixed array of little-endian `u32`s.
+    pub fn u32s(&mut self, v: &[u32]) -> &mut Self {
+        self.u64(v.len() as u64);
+        self.bytes.reserve(v.len() * 4);
+        for x in v {
+            self.bytes.extend_from_slice(&x.to_le_bytes());
+        }
+        self
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) -> &mut Self {
         self.bytes(v.as_bytes())
@@ -151,6 +161,17 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
+    /// Reads a count-prefixed array of little-endian `u32`s. A count the
+    /// payload cannot hold fails before anything is allocated.
+    pub fn u32s(&mut self) -> Result<Vec<u32>, WireError> {
+        let len = usize::try_from(self.u64()?).map_err(|_| WireError)?;
+        let bytes = self.take(len.checked_mul(4).ok_or(WireError)?)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect())
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str, WireError> {
         std::str::from_utf8(self.bytes()?).map_err(|_| WireError)
@@ -172,7 +193,8 @@ mod tests {
             .bool(true)
             .bool(false)
             .str("naïve ✓")
-            .bytes(&[1, 2, 3]);
+            .bytes(&[1, 2, 3])
+            .u32s(&[0, 1, u32::MAX]);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8(), Ok(7));
@@ -184,6 +206,7 @@ mod tests {
         assert_eq!(r.bool(), Ok(false));
         assert_eq!(r.str(), Ok("naïve ✓"));
         assert_eq!(r.bytes(), Ok([1, 2, 3].as_ref()));
+        assert_eq!(r.u32s(), Ok(vec![0, 1, u32::MAX]));
         assert!(r.is_exhausted());
     }
 
@@ -207,6 +230,13 @@ mod tests {
         // Chop the string body: the length prefix now overruns.
         let mut r = Reader::new(&bytes[..bytes.len() - 3]);
         assert_eq!(r.str(), Err(WireError));
+        // An array count the payload cannot hold (or whose byte size
+        // overflows) errors before allocating.
+        for count in [3, u64::MAX] {
+            let mut w = Writer::new();
+            w.u64(count).u32(7);
+            assert_eq!(Reader::new(&w.into_bytes()).u32s(), Err(WireError));
+        }
     }
 
     #[test]

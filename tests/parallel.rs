@@ -1,9 +1,8 @@
 //! Parallel evaluation engine, end to end: the scoped worker pool must be
 //! bit-identical to the serial path, the process-wide trace cache must
-//! hand every same-key consumer the same `Arc<Trace>`, and the
-//! tape-replay paths behind `run_all` — batched lockstep replay for
-//! shared-geometry groups, `System::run_cached` for singletons — must
-//! agree exactly with direct `System::run` at every worker count.
+//! hand every same-key consumer the same `Arc<Trace>`, and the batched
+//! tape replay behind `run_all` must agree exactly with direct
+//! `System::run` at every worker count.
 
 use std::sync::Arc;
 
@@ -82,12 +81,17 @@ fn tape_replay_matrix_matches_direct_runs_at_every_worker_count() {
     for threads in [2, 4, 8] {
         assert_eq!(evaluator().threads(threads).run_all(&ws), reference_rows);
     }
-    // Cross-check the whole 11-technology matrix against the fused
-    // single-pass path, cell by cell. The traces are re-generated (not
-    // fetched from the cache), so these runs share nothing with the
-    // matrix above except the math.
+    assert_rows_match_fused_runs(&ws, &reference_rows);
+}
+
+/// Cross-checks a whole 11-technology matrix against the fused
+/// single-pass path, cell by cell. The traces are re-generated (not
+/// fetched from the cache), so these runs share nothing with the matrix
+/// except the math.
+fn assert_rows_match_fused_runs(ws: &[WorkloadProfile], rows: &[nvm_llc::sim::MatrixRow]) {
     let models = reference::fixed_capacity();
-    for (row, w) in reference_rows.iter().zip(&ws) {
+    assert_eq!(rows.len(), ws.len());
+    for (row, w) in rows.iter().zip(ws) {
         let trace = w.generate(2019, w.scaled_accesses(8_000));
         for model in &models {
             let direct = System::new(ArchConfig::gainestown(model.clone()))
@@ -103,28 +107,18 @@ fn tape_replay_matrix_matches_direct_runs_at_every_worker_count() {
     }
 }
 
-/// The batched replay engine behind `run_all` (one decode driving all
-/// eleven timing engines in lockstep) is bit-identical to the
-/// per-technology reference path at every worker count — and both are
-/// worker-count invariant themselves.
+/// The batched replay engine behind `run_all` (one pass over each tape's
+/// lanes driving all eleven timing engines) is bit-identical to the
+/// per-technology fused `System::run` at every worker count. `cg` is
+/// multi-threaded, so its tape exercises the per-core bank passes.
 #[test]
 fn batched_and_per_technology_matrices_agree_at_every_worker_count() {
     let ws: Vec<_> = ["leela", "cg"]
         .iter()
         .map(|n| workloads::by_name(n).unwrap())
         .collect();
-    let reference_rows = evaluator().threads(1).batched(false).run_all(&ws);
     for threads in [1, 2, 4, 8] {
-        assert_eq!(
-            evaluator().threads(threads).run_all(&ws),
-            reference_rows,
-            "batched path with {threads} workers"
-        );
-        assert_eq!(
-            evaluator().threads(threads).batched(false).run_all(&ws),
-            reference_rows,
-            "per-technology path with {threads} workers"
-        );
+        assert_rows_match_fused_runs(&ws, &evaluator().threads(threads).run_all(&ws));
     }
 }
 
