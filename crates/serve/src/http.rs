@@ -14,6 +14,12 @@
 //! framed responses. [`get`] remains the one-shot `Connection: close`
 //! convenience used by tests and cold paths.
 //!
+//! Both directions assemble what they send in a byte buffer
+//! ([`push_response`], [`push_get`]) and hand it to the socket in one
+//! `write_all`: a request, a response, or a whole pipelined batch is one
+//! write, and every client socket sets `TCP_NODELAY`, so no header line
+//! waits on Nagle's algorithm for the peer's delayed ACK.
+//!
 //! Query strings decode `%XX` escapes and `+` as space. A malformed
 //! request head parses to [`ParseError::Malformed`] — the server
 //! answers `400` and, because the bad head was still fully consumed,
@@ -258,28 +264,6 @@ impl ConnBuffer {
     }
 }
 
-/// Parses exactly one request from `stream` (blocking until the head
-/// completes). The convenience form for single-shot paths: the accept
-/// thread's shed-with-503 answer, and unit tests.
-pub fn read_request(stream: &mut impl Read) -> std::io::Result<Request> {
-    let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
-    let mut buf = ConnBuffer::new();
-    loop {
-        match buf.next_request() {
-            Ok(Some(request)) => return Ok(request),
-            Ok(None) => {
-                if buf.fill(stream)? == 0 {
-                    return Err(invalid("truncated request head".into()));
-                }
-            }
-            Err(ParseError::Malformed(what)) => {
-                return Err(invalid(format!("malformed request: {what}")))
-            }
-            Err(ParseError::TooLarge) => return Err(invalid("request head too large".into())),
-        }
-    }
-}
-
 /// Reason phrase for the status codes the service emits.
 fn reason(status: u16) -> &'static str {
     match status {
@@ -295,78 +279,56 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one complete response with an exact `Content-Length` and an
-/// explicit connection disposition. Pipelined responses are written
-/// back-to-back into one buffer and flushed together.
-pub fn respond_conn(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    respond_conn_ext(stream, status, content_type, body, keep_alive, &[])
+/// Appends formatted text to a byte buffer.
+fn push_fmt(out: &mut Vec<u8>, args: std::fmt::Arguments<'_>) {
+    out.write_fmt(args)
+        .expect("writing into a Vec<u8> cannot fail");
 }
 
-/// [`respond_conn`] with extra response headers (the tracing layer's
-/// span-export header). With an empty `extra` the wire bytes are
-/// identical to [`respond_conn`]'s, by construction — the extra lines
-/// are spliced in before the blank line and nothing else changes.
-pub fn respond_conn_ext(
-    stream: &mut impl Write,
+/// Appends one complete response — exact `Content-Length`, explicit
+/// connection disposition, then `extra` header lines (the tracing
+/// layer's span-export header) — to `out`. Pipelined responses are
+/// appended back-to-back and sent with one write. With an empty `extra`
+/// nothing but the four fixed header lines precedes the body.
+pub fn push_response(
+    out: &mut Vec<u8>,
     status: u16,
     content_type: &str,
     body: &str,
     keep_alive: bool,
     extra: &[(String, String)],
-) -> std::io::Result<()> {
+) {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: {connection}\r\n",
-        reason(status),
-        body.len(),
-    )?;
+    push_fmt(
+        out,
+        format_args!(
+            "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
+             Content-Length: {}\r\nConnection: {connection}\r\n",
+            reason(status),
+            body.len(),
+        ),
+    );
     for (name, value) in extra {
-        write!(stream, "{name}: {value}\r\n")?;
+        push_fmt(out, format_args!("{name}: {value}\r\n"));
     }
-    write!(stream, "\r\n{body}")?;
-    stream.flush()
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body.as_bytes());
 }
 
-/// Writes one complete `Connection: close` response.
-pub fn respond(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    respond_conn(stream, status, content_type, body, false)
-}
-
-/// Writes one `GET` request; `keep_alive` selects the connection
-/// disposition, `headers` adds extra `Name: value` lines (the cluster's
-/// hop marker). Does not flush — callers pipeline several requests and
-/// flush once.
-pub fn write_get_conn(
-    stream: &mut impl Write,
-    target: &str,
-    keep_alive: bool,
-    headers: &[(&str, &str)],
-) -> std::io::Result<()> {
+/// Appends one `GET` request to `out`; `keep_alive` selects the
+/// connection disposition, `headers` adds extra `Name: value` lines (the
+/// cluster's hop marker). Callers pipeline several requests into one
+/// buffer and send it with one write.
+pub fn push_get(out: &mut Vec<u8>, target: &str, keep_alive: bool, headers: &[(&str, &str)]) {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: localhost\r\n")?;
+    push_fmt(
+        out,
+        format_args!("GET {target} HTTP/1.1\r\nHost: localhost\r\n"),
+    );
     for (name, value) in headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        push_fmt(out, format_args!("{name}: {value}\r\n"));
     }
-    write!(stream, "Connection: {connection}\r\n\r\n")
-}
-
-/// Writes and flushes one minimal `Connection: close` `GET`.
-pub fn write_get(stream: &mut impl Write, target: &str) -> std::io::Result<()> {
-    write_get_conn(stream, target, false, &[])?;
-    stream.flush()
+    push_fmt(out, format_args!("Connection: {connection}\r\n\r\n"));
 }
 
 /// One parsed response off a keep-alive connection.
@@ -394,44 +356,52 @@ impl Response {
 
 /// A client-side keep-alive connection: send one or many pipelined
 /// `GET`s, then read the same number of `Content-Length`-framed
-/// responses back in order.
+/// responses back in order. Requests queued by [`ClientConn::send`] go
+/// out together in one write at [`ClientConn::flush`].
 #[derive(Debug)]
-pub struct ClientConn {
-    stream: TcpStream,
+pub struct ClientConn<S = TcpStream> {
+    stream: S,
+    /// Requests queued since the last flush.
+    out: Vec<u8>,
     buf: Vec<u8>,
     start: usize,
 }
 
 impl ClientConn {
-    /// Connects with sane loopback timeouts.
+    /// Connects with sane loopback timeouts and `TCP_NODELAY` (requests
+    /// already leave in whole batches; Nagle would only hold them back).
     pub fn connect(addr: SocketAddr) -> std::io::Result<ClientConn> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(60)))?;
         stream.set_write_timeout(Some(Duration::from_secs(60)))?;
-        Ok(ClientConn {
-            stream,
-            buf: Vec::new(),
-            start: 0,
-        })
+        stream.set_nodelay(true)?;
+        Ok(ClientConn::from_stream(stream))
     }
+}
 
+impl<S: Read + Write> ClientConn<S> {
     /// Wraps an already-connected stream (a pooled upstream).
-    pub fn from_stream(stream: TcpStream) -> ClientConn {
+    pub fn from_stream(stream: S) -> ClientConn<S> {
         ClientConn {
             stream,
+            out: Vec::new(),
             buf: Vec::new(),
             start: 0,
         }
     }
 
-    /// Queues one keep-alive `GET` without flushing; follow with more
+    /// Queues one keep-alive `GET` without sending it; follow with more
     /// sends to pipeline, then [`ClientConn::flush`].
     pub fn send(&mut self, target: &str, headers: &[(&str, &str)]) -> std::io::Result<()> {
-        write_get_conn(&mut self.stream, target, true, headers)
+        push_get(&mut self.out, target, true, headers);
+        Ok(())
     }
 
-    /// Flushes queued requests to the wire.
+    /// Sends every queued request in one write and flushes the stream.
     pub fn flush(&mut self) -> std::io::Result<()> {
+        let sent = self.stream.write_all(&self.out);
+        self.out.clear();
+        sent?;
         self.stream.flush()
     }
 
@@ -523,7 +493,10 @@ pub fn get(addr: SocketAddr, target: &str) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(60)))?;
     stream.set_write_timeout(Some(Duration::from_secs(60)))?;
-    write_get(&mut stream, target)?;
+    stream.set_nodelay(true)?;
+    let mut request = Vec::new();
+    push_get(&mut request, target, false, &[]);
+    stream.write_all(&request)?;
     let mut raw = String::new();
     stream.read_to_string(&mut raw)?;
     let malformed = || std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response");
@@ -544,8 +517,12 @@ pub fn get(addr: SocketAddr, target: &str) -> std::io::Result<(u16, String)> {
 mod tests {
     use super::*;
 
-    fn parse(raw: &str) -> std::io::Result<Request> {
-        read_request(&mut raw.as_bytes())
+    /// Parses exactly one request out of `raw`.
+    fn parse(raw: &str) -> Result<Request, ParseError> {
+        let mut buf = ConnBuffer::new();
+        buf.fill(&mut raw.as_bytes()).expect("reading a byte slice");
+        buf.next_request()?
+            .ok_or_else(|| ParseError::Malformed("incomplete head".into()))
     }
 
     #[test]
@@ -660,29 +637,105 @@ mod tests {
 
     #[test]
     fn response_carries_exact_content_length() {
-        let mut out = Vec::new();
-        respond(&mut out, 200, "application/json", "{\"ok\":true}").unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let respond = |status: u16, content_type: &str, body: &str, keep_alive: bool| {
+            let mut out = Vec::new();
+            push_response(&mut out, status, content_type, body, keep_alive, &[]);
+            String::from_utf8(out).unwrap()
+        };
+        let text = respond(200, "application/json", "{\"ok\":true}", false);
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
-        let mut out = Vec::new();
-        respond(&mut out, 429, "text/plain", "busy").unwrap();
-        assert!(String::from_utf8(out)
-            .unwrap()
-            .contains("429 Too Many Requests"));
-        let mut out = Vec::new();
-        respond_conn(&mut out, 200, "text/plain", "ok", true).unwrap();
-        assert!(String::from_utf8(out)
-            .unwrap()
-            .contains("Connection: keep-alive\r\n"));
+        assert!(respond(429, "text/plain", "busy", false).contains("429 Too Many Requests"));
+        assert!(respond(200, "text/plain", "ok", true).contains("Connection: keep-alive\r\n"));
+        let traced = respond(200, "text/plain", "ok", true);
+        let mut extra = Vec::new();
+        push_response(
+            &mut extra,
+            200,
+            "text/plain",
+            "ok",
+            true,
+            &[("x-a".into(), "1".into())],
+        );
+        assert_eq!(
+            String::from_utf8(extra).unwrap(),
+            traced.replace("\r\n\r\n", "\r\nx-a: 1\r\n\r\n"),
+            "extra headers splice in before the blank line and change nothing else"
+        );
+    }
+
+    /// An in-memory stream that counts the write and flush calls it
+    /// receives and serves canned bytes to reads.
+    #[derive(Debug, Default)]
+    struct CountingStream {
+        writes: usize,
+        flushes: usize,
+        written: Vec<u8>,
+        input: std::io::Cursor<Vec<u8>>,
+    }
+
+    impl Write for CountingStream {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    impl Read for CountingStream {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    #[test]
+    fn pipelined_sends_leave_in_one_write() {
+        const N: usize = 5;
+        let hop = [("x-nvmllc-hop", "1")];
+        let mut responses = Vec::new();
+        for i in 0..N {
+            push_response(
+                &mut responses,
+                200,
+                "text/plain",
+                &format!("r{i}"),
+                true,
+                &[],
+            );
+        }
+        let mut conn = ClientConn::from_stream(CountingStream {
+            input: std::io::Cursor::new(responses),
+            ..CountingStream::default()
+        });
+        for i in 0..N {
+            conn.send(&format!("/r{i}"), &hop).unwrap();
+        }
+        assert_eq!(conn.stream.writes, 0, "send only queues");
+        conn.flush().unwrap();
+        assert_eq!((conn.stream.writes, conn.stream.flushes), (1, 1));
+        let mut expected = Vec::new();
+        for i in 0..N {
+            push_get(&mut expected, &format!("/r{i}"), true, &hop);
+        }
+        assert_eq!(conn.stream.written, expected);
+        for i in 0..N {
+            assert_eq!(conn.recv().unwrap().body, format!("r{i}"));
+        }
+        conn.flush().unwrap();
+        assert_eq!(conn.stream.writes, 1, "an empty flush writes nothing");
     }
 
     #[test]
     fn status_431_has_its_reason_phrase() {
         let mut out = Vec::new();
-        respond(&mut out, 431, "text/plain", "too big").unwrap();
+        push_response(&mut out, 431, "text/plain", "too big", false, &[]);
         assert!(String::from_utf8(out)
             .unwrap()
             .starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"));

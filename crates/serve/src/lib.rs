@@ -44,8 +44,12 @@
 //!
 //! ## Behavior under load
 //!
+//! * **Accept** — one thread blocks in `accept` on a blocking listener,
+//!   so a new connection reaches the queue as soon as the kernel
+//!   completes its handshake; nothing polls.
 //! * **Backpressure** — accepted connections wait in a bounded queue;
-//!   when it is full the accept thread answers `503` immediately. A
+//!   when it is full the accept thread answers `503` immediately, from
+//!   the bytes the client has already sent, never waiting on it. A
 //!   request that would start a new evaluation beyond the in-flight
 //!   cap answers `429`.
 //! * **Coalescing** — N identical concurrent requests cost one
@@ -58,7 +62,12 @@
 //! * **Graceful shutdown** — SIGTERM/SIGINT (or [`Server::stop`]) stops
 //!   accepting, drains queued and in-flight requests (keep-alive
 //!   connections get `Connection: close` on their next response), then
-//!   joins every worker.
+//!   joins every worker. `stop` sets the flag under the queue lock and
+//!   wakes the blocked `accept` with one loopback connection to itself;
+//!   idle workers wake at once. What still bounds a drain is an idle
+//!   keep-alive connection, whose worker notices the flag within one
+//!   read poll (200 ms), and, for the daemon, the 100 ms poll of the
+//!   signal flag.
 //!
 //! ## Distributed tracing
 //!
@@ -243,7 +252,7 @@ pub mod metrics {
 }
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -616,7 +625,6 @@ impl Server {
     fn start_with_role(config: ServeConfig, role: Role) -> std::io::Result<Server> {
         metrics::register();
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let store = match &config.store_dir {
             Some(dir) => Some(Arc::new(Store::open(dir)?)),
@@ -675,8 +683,18 @@ impl Server {
     /// Requests shutdown: stop accepting, drain queued and in-flight
     /// work. Idempotent; [`Server::join`] completes it.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        {
+            // Set the flag under the queue lock: a worker checks it under
+            // the same lock before it waits, so this notify cannot fall
+            // between its check and its wait.
+            let _queue = self.shared.queue.lock().expect("queue lock");
+            self.shared.stop.store(true, Ordering::SeqCst);
+            self.shared.queue_cv.notify_all();
+        }
+        // The accept thread blocks in `accept`; one connection to
+        // ourselves wakes it to see the flag. Once it has exited the
+        // connect is refused at once, so repeated stops stay cheap.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
     }
 
     /// Whether shutdown has been requested.
@@ -713,49 +731,104 @@ impl Server {
     }
 }
 
+/// Bound on the self-connect [`Server::stop`] makes to wake the accept
+/// thread.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Back-off after an `accept` error that retrying at once cannot clear
+/// (out of file descriptors, say), so the accept thread does not spin
+/// until a worker closes a connection.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Where [`Server::stop`] dials to wake the accept thread: the bound
+/// address, with a wildcard (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut wake = bound;
+    if bound.ip().is_unspecified() {
+        wake.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    wake
+}
+
+/// Blocks in `accept` and hands each connection to [`admit`]. After
+/// every `accept` it re-checks the stop flag: the connection that woke
+/// it — [`Server::stop`]'s own, or a client's that raced the stop — is
+/// dropped unqueued, so its client sees the connection close and never
+/// hangs.
 fn accept_loop(shared: &Shared, listener: TcpListener) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // The listener is nonblocking (so shutdown can interrupt
-                // the accept loop); handled streams must not be.
-                let _ = stream.set_nonblocking(false);
-                let mut queue = shared.queue.lock().expect("queue lock");
-                if queue.len() >= shared.config.queue_capacity {
-                    drop(queue);
-                    shared
-                        .counters
-                        .rejected_queue_full
-                        .fetch_add(1, Ordering::Relaxed);
-                    metrics::rejected("queue_full").inc();
-                    shared.counters.count_status(503);
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                    // Drain the request head before answering: closing
-                    // with unread bytes resets the connection and can
-                    // discard the 503 before the client sees it.
-                    let _ = http::read_request(&mut stream);
-                    let _ = http::respond(
-                        &mut stream,
-                        503,
-                        "application/json",
-                        "{\"error\":\"request queue full\"}",
-                    );
-                } else {
-                    queue.push_back((stream, Instant::now()));
-                    metrics::queue_depth().set(queue.len() as u64);
-                    drop(queue);
-                    shared.queue_cv.notify_one();
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => admit(shared, stream),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionAborted | std::io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
-    // Wake any idle worker so it can observe the stop flag.
-    shared.queue_cv.notify_all();
+}
+
+/// Queues an accepted connection for the workers, or sheds it with
+/// `503` when the queue is full. Never blocks on the client.
+fn admit(shared: &Shared, stream: TcpStream) {
+    let mut queue = shared.queue.lock().expect("queue lock");
+    // Checked under the queue lock, where `stop` sets it: once workers
+    // may have seen the flag with an empty queue and exited, nothing
+    // more is queued behind them.
+    if shared.stop.load(Ordering::SeqCst) {
+        return;
+    }
+    if queue.len() < shared.config.queue_capacity {
+        queue.push_back((stream, Instant::now()));
+        metrics::queue_depth().set(queue.len() as u64);
+        drop(queue);
+        shared.queue_cv.notify_one();
+        return;
+    }
+    drop(queue);
+    shared
+        .counters
+        .rejected_queue_full
+        .fetch_add(1, Ordering::Relaxed);
+    metrics::rejected("queue_full").inc();
+    shared.counters.count_status(503);
+    shed(stream);
+}
+
+/// Answers `503` on the accept thread without waiting for the client.
+/// Only bytes the client has already sent are read, nonblockingly:
+/// closing with unread bytes queued resets the connection and can
+/// discard the `503` before the client sees it. The write shutdown then
+/// sends FIN behind the answer. A client whose request arrives only
+/// after the close may still see a reset, but after the `503`.
+fn shed(mut stream: TcpStream) {
+    use std::io::Write as _;
+    let _ = stream.set_nodelay(true);
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    drain_unread(&mut stream);
+    let mut out = Vec::new();
+    http::push_response(
+        &mut out,
+        503,
+        "application/json",
+        &error_json("request queue full"),
+        false,
+        &[],
+    );
+    // An answer this small fits a fresh socket's empty send buffer.
+    let _ = stream.write_all(&out);
+    let _ = stream.shutdown(Shutdown::Write);
+    drain_unread(&mut stream);
 }
 
 fn worker_loop(shared: &Shared) {
@@ -771,11 +844,9 @@ fn worker_loop(shared: &Shared) {
                 if shared.stop.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .expect("queue lock");
-                queue = guard;
+                // `stop` sets the flag and notifies under this lock, so
+                // a plain wait cannot miss the shutdown.
+                queue = shared.queue_cv.wait(queue).expect("queue lock");
             }
         };
         match stream {
@@ -845,12 +916,13 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, queue_wait: Duratio
                     // parsing — pipelined successors are still intact.
                     served += 1;
                     shared.counters.count_status(400);
-                    let _ = http::respond_conn(
+                    http::push_response(
                         &mut out,
                         400,
                         "application/json",
                         &error_json("malformed request"),
                         served < max_requests,
+                        &[],
                     );
                     if served >= max_requests {
                         let _ = flush(&mut stream, &mut out);
@@ -863,18 +935,19 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, queue_wait: Duratio
                     // requests_per_conn like every other exit path.
                     served += 1;
                     shared.counters.count_status(431);
-                    let _ = http::respond_conn(
+                    http::push_response(
                         &mut out,
                         431,
                         "application/json",
                         &error_json("request header section too large"),
                         false,
+                        &[],
                     );
                     let _ = flush(&mut stream, &mut out);
                     // Drain whatever the client over-sent before closing:
                     // a close with unread bytes queued resets the
                     // connection and can discard the 431 in flight.
-                    drain_excess(&mut stream);
+                    drain_unread(&mut stream);
                     break 'conn;
                 }
             }
@@ -906,9 +979,11 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, queue_wait: Duratio
 }
 
 /// Best-effort bounded read-to-idle, so an error close does not reset
-/// the connection under the response. One `READ_POLL` of quiet (or
-/// 256 KiB drained) is enough — this only smooths the error path.
-fn drain_excess(stream: &mut TcpStream) {
+/// the connection under the response. Stops at EOF, 256 KiB, or the
+/// first read error: one `READ_POLL` of quiet on a connection socket, or
+/// the bytes already queued on a nonblocking one — this only smooths the
+/// error path.
+fn drain_unread(stream: &mut TcpStream) {
     use std::io::Read as _;
     let mut scratch = [0u8; 4096];
     let mut drained = 0usize;
@@ -1012,7 +1087,7 @@ fn serve_request(
             finish_trace(shared, request, &collector, status, elapsed);
         }
     }
-    let _ = http::respond_conn_ext(out, status, content_type, &body, keep_alive, &extra);
+    http::push_response(out, status, content_type, &body, keep_alive, &extra);
 }
 
 /// Hop-zero trace epilogue: tail-sampling. Retain the sealed span tree
@@ -1896,6 +1971,178 @@ mod tests {
         assert_eq!(status, 503);
         assert!(body.contains("queue full"), "{body}");
         server.shutdown();
+    }
+
+    /// Runs `server.shutdown()` on a helper thread and fails the test,
+    /// instead of hanging it, when the shutdown takes longer than
+    /// `limit`. Returns how long it took.
+    fn shutdown_within(server: Server, limit: Duration) -> Duration {
+        let (done, finished) = std::sync::mpsc::channel();
+        let started = Instant::now();
+        let handle = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(limit)
+            .expect("stop + join must not hang");
+        handle.join().expect("shutdown thread");
+        started.elapsed()
+    }
+
+    /// Polls `ready` (a test-side check of server state) until it holds.
+    fn wait_until(what: &str, ready: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn stop_wakes_the_blocking_accept_with_no_traffic() {
+        let node = |addr: &str| {
+            Server::start(ServeConfig {
+                addr: addr.into(),
+                workers: 2,
+                ..ServeConfig::default()
+            })
+            .unwrap()
+        };
+        let router = Server::start_router(RouterConfig {
+            addr: "127.0.0.1:0".into(),
+            peers: vec!["127.0.0.1:1".into()],
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        // A wildcard listener is woken over loopback.
+        for server in [node("127.0.0.1:0"), node("0.0.0.0:0"), router] {
+            let label = server.addr().to_string();
+            let took = shutdown_within(server, Duration::from_secs(5));
+            assert!(
+                took < Duration::from_secs(1),
+                "{label}: stop + join took {took:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn wake_addr_dials_loopback_for_wildcard_binds() {
+        let wake = |bound: &str| wake_addr(bound.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("[::]:7878"), "[::1]:7878");
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80");
+    }
+
+    /// One `Connection: close` GET with a bounded read: the raw response
+    /// bytes, empty when the server closed without answering.
+    fn raw_get(addr: SocketAddr, target: &str) -> std::io::Result<String> {
+        use std::io::{Read as _, Write as _};
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+        let mut request = Vec::new();
+        http::push_get(&mut request, target, false, &[]);
+        stream.write_all(&request)?;
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw)?;
+        Ok(raw)
+    }
+
+    #[test]
+    fn a_connection_racing_stop_is_answered_or_refused_never_hung() {
+        const CLIENTS: usize = 6;
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.addr();
+        let barrier = std::sync::Barrier::new(CLIENTS + 1);
+        let outcomes: Vec<std::io::Result<String>> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        // Keep requesting until one is not answered: the
+                        // requests straddle the stop.
+                        let mut outcomes = Vec::new();
+                        for _ in 0..10_000 {
+                            let outcome = raw_get(addr, "/healthz");
+                            let answered = matches!(&outcome, Ok(raw) if !raw.is_empty());
+                            outcomes.push(outcome);
+                            if !answered {
+                                break;
+                            }
+                        }
+                        outcomes
+                    })
+                })
+                .collect();
+            barrier.wait();
+            shutdown_within(server, Duration::from_secs(10));
+            clients
+                .into_iter()
+                .flat_map(|c| c.join().expect("client thread"))
+                .collect()
+        });
+        for outcome in outcomes {
+            match outcome {
+                Ok(raw) => assert!(
+                    raw.is_empty() || raw.starts_with("HTTP/1.1 200 OK\r\n"),
+                    "{raw:?}"
+                ),
+                Err(e) => assert!(
+                    !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ),
+                    "a connection racing stop hung: {e}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn a_silent_client_does_not_delay_other_503s() {
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.addr();
+        // An idle keep-alive connection pins the only worker...
+        let mut pinned = http::ClientConn::connect(addr).unwrap();
+        assert_eq!(pinned.get("/healthz").unwrap().0, 200);
+        // ...one connection fills the queue...
+        let queued = TcpStream::connect(addr).unwrap();
+        wait_until("the queued connection", || {
+            server.shared.queue.lock().unwrap().len() == 1
+        });
+        // ...and one client connects but never sends a byte.
+        let silent = TcpStream::connect(addr).unwrap();
+        let rejected = || {
+            server
+                .shared
+                .counters
+                .rejected_queue_full
+                .load(Ordering::SeqCst)
+        };
+        wait_until("the silent client's rejection", || rejected() == 1);
+        let started = Instant::now();
+        let (status, body) = http::get(addr, "/healthz").unwrap();
+        let waited = started.elapsed();
+        assert_eq!(status, 503, "{body}");
+        assert!(body.contains("queue full"), "{body}");
+        assert!(
+            waited < Duration::from_millis(250),
+            "a silent client stalled the accept thread: 503 took {waited:?}"
+        );
+        assert_eq!(rejected(), 2);
+        drop((pinned, queued, silent));
+        shutdown_within(server, Duration::from_secs(10));
     }
 
     #[test]

@@ -161,8 +161,9 @@ mod tests {
                     }
                     let keep = served < max_per_conn && !request.close;
                     let body = format!("pong:{}", request.raw_target);
-                    crate::http::respond_conn(&mut stream, 200, "text/plain", &body, keep).unwrap();
-                    stream.flush().unwrap();
+                    let mut out = Vec::new();
+                    crate::http::push_response(&mut out, 200, "text/plain", &body, keep, &[]);
+                    stream.write_all(&out).unwrap();
                     if !keep {
                         break;
                     }

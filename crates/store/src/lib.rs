@@ -148,6 +148,14 @@ pub mod metrics {
         mmap_bytes();
         bytes_written();
         resident_bytes();
+        nvm_llc_obs::metrics::histogram(
+            "nvmllc_store_get_seconds",
+            "Wall time of the `store_get` span.",
+        );
+        nvm_llc_obs::metrics::histogram(
+            "nvmllc_store_put_seconds",
+            "Wall time of the `store_put` span.",
+        );
     }
 }
 
@@ -481,8 +489,10 @@ impl Store {
     /// counters move the same way, LRU recency is touched on hits, and
     /// a record failing validation is deleted so the caller recomputes.
     /// Mapped hits additionally count into
-    /// `nvmllc_store_mmap_bytes_total`.
+    /// `nvmllc_store_mmap_bytes_total`. Each call is one `store_get`
+    /// span.
     pub fn get_mapped(&self, key: &Key) -> Option<Payload> {
+        let _span = nvm_llc_obs::span!("store_get");
         #[cfg(all(unix, feature = "mmap"))]
         {
             let path = self.record_path(key);
@@ -537,8 +547,10 @@ impl Store {
 
     /// Persists `payload` under `key`: header + payload to a temporary
     /// sibling, then an atomic rename. Evicts least-recently-fetched
-    /// records if the insert pushed residency over budget.
+    /// records if the insert pushed residency over budget. Each call is
+    /// one `store_put` span.
     pub fn put(&self, key: &Key, payload: &[u8]) -> std::io::Result<()> {
+        let _span = nvm_llc_obs::span!("store_put");
         let mut record = Vec::with_capacity(HEADER_BYTES + payload.len());
         record.extend_from_slice(&MAGIC);
         record.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
